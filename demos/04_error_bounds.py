@@ -14,9 +14,9 @@ import numpy as np
 from ctmcbisim import (
     diff_curve,
     erlang_N_bound,
-    exact_diff_series,
+    exact_diff_curve,
     fixtures,
-    markov_bound,
+    markov_curve,
     uniformization_bound,
 )
 from ctmcbisim.curves import BoundCurve, time_grid
@@ -27,15 +27,15 @@ c = float(np.exp(delta))
 grid = time_grid(10.0, 20)
 
 truth = diff_curve(M, c, grid, tol=1e-12)
-series = [exact_diff_series(M, delta, float(t)) for t in grid]
+series = exact_diff_curve(M, delta, grid)
 print("series formula vs two-run difference, worst gap:",
-      float(np.max(np.abs(np.array(series) - truth))))
+      float(np.max(np.abs(series - truth))))
 
 curve = BoundCurve(times=grid)
 curve.add("exact", truth)
 curve.add("unif", [uniformization_bound(0.0, delta, 1.0, float(t)) for t in grid])
 curve.add("erlangN", [erlang_N_bound(float(t), delta) for t in grid])
-curve.add("markov", [markov_bound(M, delta, float(t)) for t in grid])
+curve.add("markov", markov_curve(M, delta, grid))
 
 print("\n   t     exact      unif       erlangN    markov")
 for i, t in enumerate(grid):

@@ -20,22 +20,20 @@ from .bisim import PairRelation, epsilon_delta_bisim, is_bisimulation, load_rela
 from .curves import BoundCurve, time_grid
 from .erlang import (
     erlang_N_bound,
-    exact_diff_series,
-    markov_bound,
+    exact_diff_curve,
+    markov_curve,
     pareto_region,
     uniformization_bound,
 )
-from .model import Ctmc, direct_sum, load_model, model_to_dict, normalize_goal, prune_unreachable
+from .model import direct_sum, load_model, model_to_dict, normalize_goal, prune_unreachable
 from .pairuniform import uniformize_pair
 from .rewards import eliminate_zero_reward_states, hat_transform, reward_bound, reward_reach
 from .spectral import (
-    acyclic_exact,
+    combined_bound,
     decompose,
-    diag_bound,
-    is_embedded_acyclic,
-    jordan_bound,
     pn_diag,
     pn_jordan,
+    spectral_curve,
     spectral_report,
 )
 from .transient import hit_exact_steps, simulate_paths
@@ -46,6 +44,7 @@ _NUMERICAL_ERRORS = (
     err.DecompositionUnstable,
     err.SpectralGapZero,
     err.AcyclicChain,
+    err.JumpBudgetExceeded,
     np.linalg.LinAlgError,
 )
 
@@ -103,13 +102,23 @@ def cmd_check_bisim(args) -> int:
     return 0 if related else 1
 
 
-def _spectral_curve(Mn: Ctmc, delta: float, grid, tol: float) -> np.ndarray:
-    if is_embedded_acyclic(Mn):
-        return np.array([acyclic_exact(Mn, delta, float(t)) for t in grid])
-    sd = decompose(Mn.P, tol=tol)
-    if sd.kind == "diag":
-        return diag_bound(Mn, delta, grid, tol=tol)
-    return jordan_bound(Mn, delta, grid, tol=tol)
+def _once(fn):
+    """Zero-argument callable that runs ``fn`` on the first call only and
+    afterwards returns its value or re-raises its error."""
+    outcome = []
+
+    def get():
+        if not outcome:
+            try:
+                outcome.append((fn(), None))
+            except Exception as e:
+                outcome.append((None, e))
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    return get
 
 
 def cmd_bounds(args) -> int:
@@ -121,23 +130,23 @@ def cmd_bounds(args) -> int:
     if unknown:
         raise ValueError(f"unknown bound column(s) {unknown}; choose from {_BOUND_NAMES}")
     q = float(Mn.max_rate())
+    # the spectral and combined columns share one decomposition
+    spectral = _once(lambda: spectral_curve(Mn, args.delta, grid, args.tol))
     curve = BoundCurve(times=grid)
     for name in which:
         try:
             if name == "exact":
-                col = [exact_diff_series(Mn, args.delta, float(t), args.tol) for t in grid]
+                col = exact_diff_curve(Mn, args.delta, grid, args.tol)
             elif name == "unif":
                 col = [uniformization_bound(args.eps, args.delta, q, float(t)) for t in grid]
             elif name == "erlangN":
                 col = [erlang_N_bound(q * float(t), args.delta) for t in grid]
             elif name == "markov":
-                col = [markov_bound(Mn, args.delta, float(t), args.tol) for t in grid]
+                col = markov_curve(Mn, args.delta, grid, args.tol)
             elif name == "spectral":
-                col = _spectral_curve(Mn, args.delta, grid, args.tol)
+                col = spectral()
             else:
-                from .spectral import combined_bound
-
-                col = combined_bound(Mn, args.delta, grid, tol=args.tol)
+                col = combined_bound(Mn, args.delta, grid, tol=args.tol, spectral=spectral)
         except (err.NotApplicable, *_NUMERICAL_ERRORS) as e:
             print(f"note: column {name!r} not applicable: {e}", file=sys.stderr)
             col = np.full(len(grid), np.nan)

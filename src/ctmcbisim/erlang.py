@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NonUniformRates, NotApplicable
 from .model import Ctmc
-from .transient import expected_hit_steps, hit_exact_steps, reach_prob
+from .transient import expected_hit_steps, hit_exact_steps, log_factorials, reach_prob
 
 
 def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
@@ -27,8 +28,7 @@ def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
     if mu == 0.0:
         return np.ones(kmax + 1)
     ks = np.arange(kmax + 1, dtype=float)
-    lgam = np.array([math.lgamma(k + 1.0) for k in range(kmax + 1)])
-    pmf = np.exp(-mu + ks * math.log(mu) - lgam)
+    pmf = np.exp(-mu + ks * math.log(mu) - log_factorials(kmax))
     return np.minimum(np.cumsum(pmf), 1.0)
 
 
@@ -145,38 +145,53 @@ def _uniform_rate(M: Ctmc) -> float:
     return float(M.E[0])
 
 
-def exact_diff_series(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
-    """sum_n p_n * erlang_diff(n, e^delta, t'), truncated once the hit mass
-    not yet summed drops below tol (each remaining term is <= that mass).
+def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
+    """sum_n p_n * erlang_diff(n, e^delta, t') at every grid time, truncated
+    once the hit mass not yet summed drops below tol (each remaining term is
+    <= that mass).
 
-    General uniform rate r is handled by evaluating at t' = r*t.
+    The hit-step distribution does not depend on t, so it is computed once
+    for the whole grid.  General uniform rate r is handled by evaluating at
+    t' = r*t.
     """
     r = _uniform_rate(M)
     M.goal_state()
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    if delta == 0.0 or t == 0.0:
-        return 0.0
+    ts = [float(t) for t in t_grid]
+    out = np.zeros(len(ts))
+    if delta == 0.0 or not any(ts):
+        return out
     c = math.exp(delta)
-    teff = r * t
     total_reach = reach_prob(M)
     K = 64
     while True:
         hits = hit_exact_steps(M, K)
         remaining = total_reach - float(hits.probs.sum())
         if remaining < tol or K > 1 << 22:
-            diffs = erlang_diff_prefix(c, teff, K)
-            return float(np.dot(hits.probs, diffs[1:]))
+            break
         K *= 2
+    for i, t in enumerate(ts):
+        if t != 0.0:
+            out[i] = float(np.dot(hits.probs, erlang_diff_prefix(c, r * t, K)[1:]))
+    return out
 
 
-def markov_bound(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
-    """E(steps) * sum_n (1/n) erlang_diff(n, e^delta, t'), clamped at 1.
+def exact_diff_series(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
+    """:func:`exact_diff_curve` at the single time t."""
+    return float(exact_diff_curve(M, delta, [t], tol)[0])
+
+
+def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
+    """E(steps) * sum_n (1/n) erlang_diff(n, e^delta, t'), clamped at 1, at
+    every grid time.
 
     The truncation remainder is certified through the exact identity
     sum_{n>=1} erlang_diff(n, c, t') = t' (c - 1): the tail satisfies
     sum_{n>K} (1/n) diff_n <= (t'(c-1) - sum_{n<=K} diff_n) / (K+1)
     and is *added* to the partial sum so the result stays an upper bound.
+    The expected step count is computed once; the truncation point K
+    depends on t and is found per grid time.
     """
     r = _uniform_rate(M)
     M.goal_state()
@@ -185,16 +200,28 @@ def markov_bound(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
     ex = expected_hit_steps(M)
     if math.isinf(ex):
         raise NotApplicable("expected hitting steps are infinite (fail state reachable)")
-    if delta == 0.0 or t == 0.0:
-        return 0.0
+    out = np.zeros(len(t_grid))
+    if delta == 0.0:
+        return out
     c = math.exp(delta)
-    teff = r * t
-    total = teff * (c - 1.0)
-    K = 256
-    while True:
-        diffs = erlang_diff_prefix(c, teff, K)
-        partial = float(np.dot(diffs[1:], 1.0 / np.arange(1.0, K + 1.0)))
-        tail = max(0.0, total - float(diffs[1:].sum())) / (K + 1.0)
-        if ex * tail < tol or K > 1 << 22:
-            return min(1.0, ex * (partial + tail))
-        K *= 2
+    for i, t in enumerate(t_grid):
+        t = float(t)
+        if t == 0.0:
+            continue
+        teff = r * t
+        total = teff * (c - 1.0)
+        K = 256
+        while True:
+            diffs = erlang_diff_prefix(c, teff, K)
+            partial = float(np.dot(diffs[1:], 1.0 / np.arange(1.0, K + 1.0)))
+            tail = max(0.0, total - float(diffs[1:].sum())) / (K + 1.0)
+            if ex * tail < tol or K > 1 << 22:
+                out[i] = min(1.0, ex * (partial + tail))
+                break
+            K *= 2
+    return out
+
+
+def markov_bound(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
+    """:func:`markov_curve` at the single time t."""
+    return float(markov_curve(M, delta, [t], tol)[0])

@@ -66,6 +66,18 @@ class NotBisimilar(CtmcError):
     pass
 
 
+# ---------------------------------------------------------------- transient
+
+
+class JumpBudgetExceeded(CtmcError):
+    """Some simulated path was still running after the jump budget
+    (a fast or zero-cost cycle, or a horizon too long for the rates)."""
+
+    def __init__(self, max_jumps: int):
+        self.max_jumps = max_jumps
+        super().__init__(f"simulation exceeded the jump budget of {max_jumps} jumps")
+
+
 # ---------------------------------------------------------------- erlang / bounds
 
 

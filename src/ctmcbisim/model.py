@@ -13,7 +13,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction  # noqa: F401  (re-exported for flow users)
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -31,6 +30,8 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-12
+#: a state whose self-loop probability is >= 1 - ABSORBING_EPS counts as absorbing
+ABSORBING_EPS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,8 @@ import numpy as np
 
 from .erlang import uniformization_bound
 from .errors import AbsorbingState, NonzeroReward, ZeroReward, ZeroRewardCycle
-from .model import Ctmc
+from .model import ABSORBING_EPS, Ctmc
 from .transient import timed_reach
-
-ABSORBING_EPS = 1e-12
 
 
 def _require_rewards(M: Ctmc) -> np.ndarray:

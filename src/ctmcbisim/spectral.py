@@ -16,6 +16,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     SpectralGapZero,
     WrongKind,
 )
-from .model import Ctmc, Dtmc, normalize_goal, prune_unreachable
+from .model import ABSORBING_EPS, Ctmc, Dtmc, normalize_goal, prune_unreachable
 from .pairuniform import uniformize_pair
 from .transient import hit_exact_steps
 
@@ -46,8 +47,6 @@ JORDAN_MAX_N = 50
 RANK_TOL = 1e-8
 #: largest imaginary part tolerated in a (real) step probability
 IMAG_TOL = 1e-9
-
-ABSORBING_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -541,35 +540,56 @@ def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray
     return _jordan_bound_from(sd, rate, delta, t_grid, tol)
 
 
-def combined_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
-    """Pointwise best of the chain-length bound and the spectral route.
+_SPECTRAL_FAILURES = (ModulusOneNotOne, DecompositionUnstable, SpectralGapZero, AcyclicChain)
 
-    The spectral side picks the exact finite sum for acyclic chains, the
-    diagonal bound when P diagonalizes, and the block bound otherwise; if
-    the decomposition fails it degrades (with a
+
+def _spectral_values(Mn: Ctmc, delta: float, t_grid, tol: float) -> np.ndarray:
+    if is_embedded_acyclic(Mn):
+        return _acyclic_values(Mn, _uniform_rate(Mn), delta, t_grid)
+    sd = decompose(Mn.P, tol=tol)
+    bound_from = _diag_bound_from if sd.kind == "diag" else _jordan_bound_from
+    return bound_from(sd, _uniform_rate(Mn), delta, t_grid, tol)
+
+
+def spectral_curve(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
+    """The spectral route over the whole grid: the exact finite sum for
+    acyclic chains, the diagonal bound when P diagonalizes, and the block
+    bound otherwise.  P is decomposed (within ``tol``) at most once."""
+    if delta < 0.0:
+        raise ValueError("delta must be nonnegative")
+    return _spectral_values(normalize_goal(prune_unreachable(M)), delta, t_grid, tol)
+
+
+def combined_bound(
+    M: Ctmc,
+    delta: float,
+    t_grid,
+    tol: float = 1e-9,
+    spectral: Callable[[], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Pointwise best of the chain-length bound and the spectral route
+    (:func:`spectral_curve`); if the decomposition fails it degrades (with a
     :class:`DecompositionFallbackWarning`) to the chain-length bound alone.
+
+    A caller that already needs the spectral curve for the same arguments
+    can pass ``spectral``, a zero-argument callable returning it (or
+    raising what :func:`spectral_curve` raised), to avoid a second
+    decomposition.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     Mn, rate = _prepare(M)
     base = np.array([erlang_N_bound(rate * float(t), delta) for t in t_grid])
-    spec = None
-    if is_embedded_acyclic(Mn):
-        spec = _acyclic_values(Mn, rate, delta, t_grid)
-    else:
-        try:
-            sd = decompose(Mn.P)
-            if sd.kind == "diag":
-                spec = _diag_bound_from(sd, rate, delta, t_grid, tol)
-            else:
-                spec = _jordan_bound_from(sd, rate, delta, t_grid, tol)
-        except (ModulusOneNotOne, DecompositionUnstable, SpectralGapZero, AcyclicChain) as exc:
-            warnings.warn(
-                f"spectral bound unavailable ({exc}); falling back to the"
-                " chain-length bound",
-                DecompositionFallbackWarning,
-                stacklevel=2,
-            )
+    try:
+        spec = _spectral_values(Mn, delta, t_grid, tol) if spectral is None else spectral()
+    except _SPECTRAL_FAILURES as exc:
+        warnings.warn(
+            f"spectral bound unavailable ({exc}); falling back to the"
+            " chain-length bound",
+            DecompositionFallbackWarning,
+            stacklevel=2,
+        )
+        spec = None
     out = base if spec is None else np.minimum(base, spec)
     return np.clip(out, 0.0, 1.0)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonUniformRates
+from .errors import JumpBudgetExceeded, NonUniformRates
 from .model import Ctmc, Dtmc, scale, uniformize
 
 DEFAULT_TRUNCATION_ERROR = 1e-10
@@ -36,6 +36,31 @@ class TransientQuery:
             raise ValueError("truncation_error must lie in (0, 1)")
 
 
+# ln k! for k = 0..len-1.  Growing replaces the whole array and never writes
+# to the old one, so slices handed out stay valid; two callers growing it at
+# once only repeat work, since every table holds the same values.
+_LOG_FACTORIALS = np.zeros(1)
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def log_factorials(kmax: int) -> np.ndarray:
+    """Read-only ``out[k] = lgamma(k + 1)`` for k = 0..kmax.
+
+    Served from one module-level table that grows geometrically, so the
+    Poisson weights of many horizons share the ``math.lgamma`` calls.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if kmax >= len(table):
+        size = max(kmax + 1, 2 * len(table))
+        grown = np.empty(size)
+        grown[: len(table)] = table
+        grown[len(table) :] = [math.lgamma(k + 1.0) for k in range(len(table), size)]
+        grown.flags.writeable = False
+        _LOG_FACTORIALS = table = grown
+    return table[: kmax + 1]
+
+
 def poisson_weights(mu: float, tol: float) -> np.ndarray:
     """Poisson(mu) weights for k = 0..K with total mass >= 1 - tol.
 
@@ -49,8 +74,7 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
     K = int(math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 30.0))
     log_mu = math.log(mu)
     while True:
-        lgam = np.array([math.lgamma(k + 1.0) for k in range(K + 1)])
-        w = np.exp(-mu + np.arange(K + 1) * log_mu - lgam)
+        w = np.exp(-mu + np.arange(K + 1) * log_mu - log_factorials(K))
         cum = np.cumsum(w)
         if cum[-1] >= 1.0 - tol:
             stop = int(np.searchsorted(cum, 1.0 - tol)) + 1
@@ -273,7 +297,7 @@ def simulate_paths(
     while active.any():
         jumps += 1
         if jumps > max_jumps:
-            raise RuntimeError("simulation exceeded the jump budget; zero-cost cycle?")
+            raise JumpBudgetExceeded(max_jumps)
         idx = np.flatnonzero(active)
         s = state[idx]
         stuck = absorbing[s]

@@ -57,6 +57,36 @@ def random_uniform_chain(
     )
 
 
+def random_dag_chain(
+    rng: np.random.Generator,
+    n_max: int = 8,
+    rates: tuple[float, ...] = (1.0, 2.0, 0.5),
+) -> Ctmc:
+    """Uniform-rate chain whose transient jump graph is a DAG: every row
+    only moves forward (always including i -> i+1), so the goal is hit
+    within n - 1 steps."""
+    n = int(rng.integers(2, n_max + 1))
+    g = n - 1
+    P = np.zeros((n, n))
+    for i in range(g):
+        w = rng.integers(0, 4, size=n)
+        w[: i + 1] = 0
+        w[i + 1] += 1
+        P[i] = _weights_to_row(w)
+    P[g, g] = 1.0
+    rate = float(rng.choice(rates))
+    return validate(
+        Ctmc(
+            ids=tuple(f"s{i}" for i in range(g)) + ("g",),
+            labels=tuple(() for _ in range(g)) + (("g",),),
+            P=P,
+            E=np.full(n, rate),
+            initial=0,
+            goal=(g,),
+        )
+    )
+
+
 def random_stable_chain(rng: np.random.Generator, n_max: int = 8) -> Ctmc:
     """A uniform chain whose normalized jump matrix decomposes cleanly."""
     while True:

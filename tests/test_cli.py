@@ -397,6 +397,27 @@ def test_simulate_is_deterministic_under_a_seed(capsys, branch_path):
     assert report["ci_low"] <= report["estimate"] <= report["ci_high"]
 
 
+def test_simulate_jump_budget_exhaustion_exits_3(capsys, tmp_path, monkeypatch):
+    # a three-state cycle at rate 1e7 makes ~1e7 jumps per path by t = 1;
+    # the budget is lowered here only to keep the run short
+    import functools
+
+    from ctmcbisim import cli
+    from ctmcbisim.transient import simulate_paths
+
+    states = [("a", (), 1e7), ("b", (), 1e7), ("c", (), 1e7), ("g", ("g",), 1e7)]
+    transitions = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0 - 1e-9),
+                   ("c", "g", 1e-9), ("g", "g", 1.0)]
+    p = tmp_path / "cycle.json"
+    save_model(make_ctmc(states, transitions, initial="a", goal=("g",)), str(p))
+    monkeypatch.setattr(cli, "simulate_paths", functools.partial(simulate_paths, max_jumps=500))
+    rc, out, err = _run(capsys, ["simulate", "-m", str(p), "--t", "1", "--paths", "10"])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("JumpBudgetExceeded:")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ exit code 2
 
 

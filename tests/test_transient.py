@@ -18,7 +18,7 @@ from ctmcbisim import (
     timed_reach,
     timed_reach_curve,
 )
-from ctmcbisim.errors import NonUniformRates
+from ctmcbisim.errors import CtmcError, JumpBudgetExceeded, NonUniformRates
 from ctmcbisim.transient import TransientQuery, poisson_weights, transient_distribution
 
 from helpers import random_uniform_chain
@@ -290,6 +290,15 @@ def test_simulate_deterministic_under_seed():
     assert a == b
     c = simulate_paths(M, 5_000, 4.0, seed=124)
     assert c.hits != a.hits or c.estimate == a.estimate
+
+
+def test_simulate_jump_budget_raises_a_library_error():
+    # every path is still running on the loop's transient state after 50 jumps
+    M = fixtures.two_state_loop(0.999)
+    with pytest.raises(JumpBudgetExceeded) as info:
+        simulate_paths(M, 100, 1e6, seed=0, max_jumps=50)
+    assert isinstance(info.value, CtmcError)
+    assert info.value.max_jumps == 50
 
 
 def test_simulate_zero_horizon():
