@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NotBisimilar, PairNotRelated
-from .model import Ctmc, Dtmc, direct_sum
+from .model import Ctmc, direct_sum
 
 FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
@@ -230,7 +230,7 @@ def _pair_flow(
     return value, edge_flow, succ_s, succ_t
 
 
-def pair_flow_value(D: Dtmc | Ctmc, R: PairRelation, s: int, t: int) -> float:
+def pair_flow_value(D: Ctmc, R: PairRelation, s: int, t: int) -> float:
     """The maximum mass placeable on related successor pairs (exactly
     ``1 - (smallest feasible eps)`` by LP duality)."""
     value, _, _, _ = _pair_flow(D.P, R.pairs, s, t)
@@ -238,7 +238,7 @@ def pair_flow_value(D: Dtmc | Ctmc, R: PairRelation, s: int, t: int) -> float:
 
 
 def check_pair_flow(
-    D: Dtmc | Ctmc, R: PairRelation, s: int, t: int, eps: float, eta: float = FLOW_ETA
+    D: Ctmc, R: PairRelation, s: int, t: int, eps: float, eta: float = FLOW_ETA
 ) -> bool:
     value, _, _, _ = _pair_flow(D.P, R.pairs, s, t)
     return value >= _F1 - Fraction(float(eps)) - Fraction(float(eta))
@@ -280,7 +280,7 @@ class Coupling:
 
 
 def extract_coupling(
-    D: Dtmc | Ctmc, R: PairRelation, s: int, t: int, eps: float, eta: float = FLOW_ETA
+    D: Ctmc, R: PairRelation, s: int, t: int, eps: float, eta: float = FLOW_ETA
 ) -> Coupling:
     """Max-flow transport on related pairs, completed to exact marginals
     by northwest-corner filling of the leftover supplies/demands."""
@@ -581,24 +581,28 @@ def split_construction(M: Ctmc, N: Ctmc, eps: float, delta: float) -> SplitResul
 # --------------------------------------------------------------------------
 
 
-def relation_to_dict(R: PairRelation, chain: Ctmc | Dtmc) -> dict:
+def relation_to_dict(R: PairRelation, chain: Ctmc) -> dict:
     pairs = [[chain.ids[s], chain.ids[t]] for s, t in R.off_diagonal()]
     return {"pairs": pairs, "eps": R.eps, "delta": R.delta}
 
 
-def relation_from_dict(d: dict, chain: Ctmc | Dtmc) -> PairRelation:
-    pairs = {(chain.index(a), chain.index(b)) for a, b in d.get("pairs", ())}
+def relation_from_dict(d: dict, chain: Ctmc) -> PairRelation:
+    pairs = set()
+    for pair in d.get("pairs", ()):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(s, str) for s in pair)):
+            raise ValueError(f"relation pair {pair!r} is not a pair of state ids")
+        pairs.add((chain.index(pair[0]), chain.index(pair[1])))
     return PairRelation.from_off_diagonal(
         pairs, n=len(chain.ids), eps=float(d.get("eps", 0.0)), delta=float(d.get("delta", 0.0))
     )
 
 
-def save_relation(R: PairRelation, chain: Ctmc | Dtmc, path: str) -> None:
+def save_relation(R: PairRelation, chain: Ctmc, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(relation_to_dict(R, chain), fh, indent=2)
         fh.write("\n")
 
 
-def load_relation(path: str, chain: Ctmc | Dtmc) -> PairRelation:
+def load_relation(path: str, chain: Ctmc) -> PairRelation:
     with open(path, "r", encoding="utf-8") as fh:
         return relation_from_dict(json.load(fh), chain)

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import graph
 from .errors import (
     CtmcError,
     EmptyGoalSet,
@@ -32,54 +33,6 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 #: a state whose self-loop probability is >= 1 - ABSORBING_EPS counts as absorbing
 ABSORBING_EPS = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Dtmc:
-    """Finite labeled discrete-time chain.
-
-    ``P[i, j]`` is the one-step probability from state ``i`` to ``j``;
-    ``labels[i]`` is the (order-preserving) tuple of atomic propositions
-    of state ``i``; label comparisons are set comparisons.
-    """
-
-    ids: tuple[str, ...]
-    labels: tuple[tuple[str, ...], ...]
-    P: np.ndarray
-    initial: int
-    goal: tuple[int, ...] = ()
-    fail: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.ids)
-        if self.P.shape != (n, n):
-            raise ValueError(f"P has shape {self.P.shape}, expected {(n, n)}")
-        if len(self.labels) != n:
-            raise ValueError("labels/ids length mismatch")
-        if not (0 <= self.initial < n):
-            raise ValueError(f"initial index {self.initial} out of range")
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @cached_property
-    def label_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(l) for l in self.labels)
-
-    def index(self, state_id: str) -> int:
-        try:
-            return self.ids.index(state_id)
-        except ValueError:
-            raise KeyError(f"unknown state id {state_id!r}") from None
-
-    def successors(self, s: int) -> np.ndarray:
-        return np.flatnonzero(self.P[s] > 0.0)
-
-    def goal_state(self) -> int:
-        if len(self.goal) != 1:
-            raise NoGoalState(f"need exactly one goal state, have {len(self.goal)}")
-        return self.goal[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +69,13 @@ class Ctmc:
             raise ValueError(f"initial index {self.initial} out of range")
         if self.rewards is not None and self.rewards.shape != (n,):
             raise ValueError("rewards length mismatch")
+        # read-only views: the cached graph indexes below rely on P not changing
+        for name in ("P", "E", "rewards"):
+            a = getattr(self, name)
+            if a is not None:
+                view = a.view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:
@@ -125,14 +85,27 @@ class Ctmc:
     def label_sets(self) -> tuple[frozenset[str], ...]:
         return tuple(frozenset(l) for l in self.labels)
 
-    def index(self, state_id: str) -> int:
-        try:
-            return self.ids.index(state_id)
-        except ValueError:
-            raise KeyError(f"unknown state id {state_id!r}") from None
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        # the first occurrence wins, as with tuple.index
+        return {sid: i for i, sid in reversed(tuple(enumerate(self.ids)))}
 
-    def successors(self, s: int) -> np.ndarray:
-        return np.flatnonzero(self.P[s] > 0.0)
+    def index(self, s: int | str) -> int:
+        """Position of state ``s``, given by id or already by position."""
+        i = self._positions.get(s) if isinstance(s, str) else s
+        if isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < self.n:
+            return int(i)
+        raise KeyError(f"unknown state id {s!r}")
+
+    @cached_property
+    def succ(self) -> graph.Index:
+        """Jump-graph index: ``s -> s'`` whenever ``P[s, s'] > 0``."""
+        return graph.csr(self.P)
+
+    @cached_property
+    def pred(self) -> graph.Index:
+        """The reversed jump graph."""
+        return graph.csr(self.P.T)
 
     def goal_state(self) -> int:
         if len(self.goal) != 1:
@@ -189,10 +162,6 @@ def make_ctmc(
         fail=tuple(idx[f] for f in fail),
         rewards=rewards,
     )
-
-
-def _as_index(M: Ctmc, s: int | str) -> int:
-    return M.index(s) if isinstance(s, str) else int(s)
 
 
 # --------------------------------------------------------------------------
@@ -291,24 +260,6 @@ def scale(M: Ctmc, c: float) -> Ctmc:
     return replace(M, E=M.E * c, rate_exprs=None)
 
 
-def _reach_set(P: np.ndarray, targets: set[int]) -> set[int]:
-    """States that can reach ``targets`` (including the targets)."""
-    n = P.shape[0]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    rows, cols = np.nonzero(P > 0.0)
-    for i, j in zip(rows, cols):
-        preds[j].append(int(i))
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        v = stack.pop()
-        for u in preds[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
 def _fresh_atom(base: str, used: set[str]) -> str:
     name = base
     while name in used:
@@ -335,13 +286,13 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
     reachability of the goal set is preserved.  A chain that is already
     in this form is returned unchanged.
     """
-    G = {_as_index(M, g) for g in (goals if goals is not None else M.goal)}
+    G = {M.index(g) for g in (goals if goals is not None else M.goal)}
     if not G:
         raise EmptyGoalSet("goal set is empty")
     if M.initial in G:
         raise ValueError("the initial state may not be a goal state")
 
-    can_reach = _reach_set(M.P, G)
+    can_reach = graph.reach(M.pred, G)
     dead = [s for s in range(M.n) if s not in G and s not in can_reach]
 
     # Fast path: already normalized.
@@ -437,11 +388,12 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
     )
 
 
-def uniformize(M: Ctmc, q: float | None = None) -> Dtmc:
-    """Subordinated jump chain at rate ``q >= max exit rate``.
+def uniformize(M: Ctmc, q: float | None = None) -> Ctmc:
+    """The same process observed at rate ``q >= max exit rate``.
 
-    Off-diagonal entries become ``P(s,s')*E(s)/q``; the diagonal absorbs
-    the remaining mass ``1 + P(s,s)*E(s)/q - E(s)/q``.
+    Every exit rate becomes ``q``; off-diagonal jump probabilities become
+    ``P(s,s')*E(s)/q`` and the diagonal absorbs the remaining mass
+    ``1 + P(s,s)*E(s)/q - E(s)/q``.  Rewards are kept.
     """
     max_rate = M.max_rate()
     if q is None:
@@ -451,12 +403,13 @@ def uniformize(M: Ctmc, q: float | None = None) -> Dtmc:
     w = M.E / q
     Pb = M.P * w[:, None]
     Pb[np.diag_indices_from(Pb)] += 1.0 - w
-    return Dtmc(ids=M.ids, labels=M.labels, P=Pb, initial=M.initial, goal=M.goal, fail=M.fail)
+    return replace(M, P=Pb, E=np.full(M.n, q), rate_exprs=None)
 
 
-def embedded_dtmc(M: Ctmc) -> Dtmc:
-    """The jump chain: the probability component with labels and initial state."""
-    return Dtmc(ids=M.ids, labels=M.labels, P=M.P.copy(), initial=M.initial, goal=M.goal, fail=M.fail)
+def embedded_dtmc(M: Ctmc) -> Ctmc:
+    """The jump chain: M's jump probabilities, labels and initial state,
+    with unit rates and no rewards."""
+    return replace(M, E=np.ones(M.n), rewards=None, rate_exprs=None)
 
 
 def generator(M: Ctmc) -> np.ndarray:
@@ -469,17 +422,8 @@ def generator(M: Ctmc) -> np.ndarray:
 
 def prune_unreachable(M: Ctmc) -> Ctmc:
     """Drop states unreachable from the initial state (explicit, never automatic)."""
-    n = M.n
-    seen = {M.initial}
-    stack = [M.initial]
-    while stack:
-        v = stack.pop()
-        for u in np.flatnonzero(M.P[v] > 0.0):
-            u = int(u)
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) == n:
+    seen = graph.reach(M.succ, [M.initial])
+    if len(seen) == M.n:
         return M
     keep = sorted(seen)
     remap = {old: new for new, old in enumerate(keep)}
@@ -571,8 +515,15 @@ def dumps_model(M: Ctmc) -> str:
 
 
 def load_model(path: str) -> Ctmc:
+    """Read a chain file, checking row sums, probabilities and rates.
+
+    Goal and fail states are not checked here: :func:`normalize_goal`
+    repairs a goal that is not absorbing or not uniquely labeled.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        M = model_from_dict(json.load(fh))
+    validate(replace(M, goal=(), fail=()))
+    return M
 
 
 def save_model(M: Ctmc, path: str) -> None:

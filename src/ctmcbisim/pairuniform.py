@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,21 +42,6 @@ class PairUniformResult:
 
     def __iter__(self):
         return iter((self.m_uniform, self.n_uniform))
-
-
-def _as_uniform_ctmc(M: Ctmc, q: float) -> Ctmc:
-    """Same process as M observed at jump rate q (all exit rates become q)."""
-    D = uniformize(M, q)
-    return Ctmc(
-        ids=M.ids,
-        labels=M.labels,
-        P=D.P,
-        E=np.full(M.n, q),
-        initial=M.initial,
-        goal=M.goal,
-        fail=M.fail,
-        rewards=M.rewards,
-    )
 
 
 def _reach_curve(M: Ctmc, ts) -> list[float] | None:
@@ -119,12 +104,8 @@ def uniformize_pair(M: Ctmc, N: Ctmc, R: PairRelation, delta: float) -> PairUnif
     q_m = max(float(E_m.max()), float(E_n.max()) / ed)
     q_n = q_m * ed
 
-    M2 = Ctmc(ids=M.ids, labels=M.labels, P=M.P, E=E_m, initial=M.initial,
-              goal=M.goal, fail=M.fail, rewards=M.rewards)
-    N2 = Ctmc(ids=N.ids, labels=N.labels, P=N.P, E=E_n, initial=N.initial,
-              goal=N.goal, fail=N.fail, rewards=N.rewards)
-    Mu = _as_uniform_ctmc(M2, q_m)
-    Nu = _as_uniform_ctmc(N2, q_n)
+    Mu = uniformize(replace(M, E=E_m), q_m)
+    Nu = uniformize(replace(N, E=E_n), q_n)
 
     recheck = is_bisimulation(direct_sum(Mu, Nu), R0)
     if not recheck:

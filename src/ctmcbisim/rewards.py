@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import graph
 from .erlang import uniformization_bound
 from .errors import AbsorbingState, NonzeroReward, ZeroReward, ZeroRewardCycle
 from .model import ABSORBING_EPS, Ctmc
@@ -35,7 +36,7 @@ def remove_zero_reward_self_loop(M: Ctmc, s: int | str) -> Ctmc:
     exit rate scaled by the removed mass.  No-op when there is no loop.
     """
     rewards = _require_rewards(M)
-    idx = M.index(s) if isinstance(s, str) else int(s)
+    idx = M.index(s)
     if rewards[idx] != 0.0:
         raise NonzeroReward(f"state {M.ids[idx]} has reward {rewards[idx]}")
     loop = float(M.P[idx, idx])
@@ -61,32 +62,6 @@ def remove_zero_reward_self_loop(M: Ctmc, s: int | str) -> Ctmc:
     )
 
 
-def _zero_cycle_check(P: np.ndarray, zset: set[int]) -> None:
-    color = {z: 0 for z in zset}
-    for root in zset:
-        if color[root]:
-            continue
-        stack = [(root, iter(np.flatnonzero(P[root] > 0.0)))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                u = int(u)
-                if u == v or u not in zset:
-                    continue
-                if color[u] == 1:
-                    raise ZeroRewardCycle(f"zero-reward states {v} and {u} lie on a cycle")
-                if color[u] == 0:
-                    color[u] = 1
-                    stack.append((u, iter(np.flatnonzero(P[u] > 0.0))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-
-
 def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
     """Short-circuit every zero-reward state out of the chain.
 
@@ -110,7 +85,9 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
         )
     if M.initial in zs:
         raise ZeroReward(M.initial)
-    _zero_cycle_check(M.P, set(zs))
+    cycle = graph.find_cycle(M.succ, np.isin(np.arange(M.n), zs), self_loops=False)
+    if cycle is not None:
+        raise ZeroRewardCycle(f"zero-reward states {cycle[0]} and {cycle[1]} lie on a cycle")
 
     P = M.P.copy()
     E = M.E.copy()
@@ -175,10 +152,7 @@ def reward_reach(M: Ctmc, s: int | str | None, r: float, tol: float = 1e-9) -> f
     if r < 0.0:
         raise ValueError("the reward budget must be nonnegative")
     chain = hat_transform(eliminate_zero_reward_states(M))
-    if s is None:
-        orig = M.initial
-    else:
-        orig = M.index(s) if isinstance(s, str) else int(s)
+    orig = M.initial if s is None else M.index(s)
     try:
         start = chain.index(M.ids[orig])
     except KeyError:

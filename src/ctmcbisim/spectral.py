@@ -31,7 +31,8 @@ from .errors import (
     SpectralGapZero,
     WrongKind,
 )
-from .model import ABSORBING_EPS, Ctmc, Dtmc, normalize_goal, prune_unreachable
+from . import graph
+from .model import ABSORBING_EPS, Ctmc, normalize_goal, prune_unreachable
 from .pairuniform import uniformize_pair
 from .transient import hit_exact_steps
 
@@ -178,7 +179,7 @@ def _cluster_chains(P: np.ndarray, mu: complex, mult: int, tol: float) -> list[t
     return chains
 
 
-def decompose(P: np.ndarray | Dtmc, tol: float = 1e-9) -> SpectralData:
+def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
     """Verified eigendecomposition of a jump matrix.
 
     Tries the plain eigenbasis first; if it is ill-conditioned or fails to
@@ -189,7 +190,7 @@ def decompose(P: np.ndarray | Dtmc, tol: float = 1e-9) -> SpectralData:
     :class:`DecompositionUnstable` when no factorization reconstructs P
     within ``tol``.
     """
-    if isinstance(P, Dtmc):
+    if isinstance(P, Ctmc):
         P = P.P
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
@@ -387,36 +388,10 @@ def _absorbing_states(P: np.ndarray) -> np.ndarray:
     return np.diag(P) >= 1.0 - ABSORBING_EPS
 
 
-def is_embedded_acyclic(M: Ctmc | Dtmc) -> bool:
+def is_embedded_acyclic(M: Ctmc) -> bool:
     """True when the transient part of the jump graph has no cycle (a
     positive self-loop counts as one)."""
-    P = M.P
-    absorbing = _absorbing_states(P)
-    n = P.shape[0]
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for root in range(n):
-        if absorbing[root] or color[root]:
-            continue
-        stack = [(root, iter(np.flatnonzero(P[root] > 0.0)))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                u = int(u)
-                if absorbing[u]:
-                    continue
-                if color[u] == 1:
-                    return False
-                if color[u] == 0:
-                    color[u] = 1
-                    stack.append((u, iter(np.flatnonzero(P[u] > 0.0))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return True
+    return graph.find_cycle(M.succ, ~_absorbing_states(M.P)) is None
 
 
 def _acyclic_values(Mn: Ctmc, rate: float, delta: float, t_grid) -> np.ndarray:

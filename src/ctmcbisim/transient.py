@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import graph
 from .errors import JumpBudgetExceeded, NonUniformRates
-from .model import Ctmc, Dtmc, scale, uniformize
+from .model import Ctmc, scale, uniformize
 
 DEFAULT_TRUNCATION_ERROR = 1e-10
 
@@ -66,6 +67,8 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
 
     Computed per-term through ``exp(-mu + k*ln(mu) - lgamma(k+1))`` so
     large ``mu`` neither overflows nor loses the mass near the mode.
+    Raises ValueError when ``tol`` is below the rounding error of the
+    summed weights, so that no K reaches ``1 - tol``.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
@@ -73,12 +76,21 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
         return np.ones(1)
     K = int(math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 30.0))
     log_mu = math.log(mu)
+    last = None
     while True:
         w = np.exp(-mu + np.arange(K + 1) * log_mu - log_factorials(K))
         cum = np.cumsum(w)
         if cum[-1] >= 1.0 - tol:
             stop = int(np.searchsorted(cum, 1.0 - tol)) + 1
             return w[:stop]
+        # past the mode the terms only shrink: once a doubling adds nothing
+        # to the rounded sum, no larger K will either
+        if cum[-1] == last:
+            raise ValueError(
+                f"Poisson({mu!r}) weights sum to {float(cum[-1])!r} in double precision,"
+                f" short of 1 - tol for tol={tol!r}; use a larger tolerance"
+            )
+        last = cum[-1]
         K *= 2
 
 
@@ -101,7 +113,7 @@ def timed_reach(M: Ctmc, s: int | str | None, t: float, tol: float = 1e-9) -> fl
     """Probability of sitting in the goal state at time t (= reaching it
     by t, since the goal is absorbing)."""
     g = M.goal_state()
-    start = M.initial if s is None else (M.index(s) if isinstance(s, str) else int(s))
+    start = M.initial if s is None else M.index(s)
     pi = transient_distribution(M, TransientQuery(start=start, horizon=t, truncation_error=tol))
     return float(pi[g])
 
@@ -110,10 +122,10 @@ def timed_reach_curve(M: Ctmc, t_grid: Sequence[float], tol: float = 1e-9) -> np
     return np.array([timed_reach(M, None, float(t), tol) for t in t_grid])
 
 
-def step_reach(D: Dtmc | Ctmc, s: int | str | None, k: int) -> float:
+def step_reach(D: Ctmc, s: int | str | None, k: int) -> float:
     """``(P^k)[s, g]`` by iterated vector-matrix products."""
     g = D.goal_state()
-    start = D.initial if s is None else (D.index(s) if isinstance(s, str) else int(s))
+    start = D.initial if s is None else D.index(s)
     v = np.zeros(D.P.shape[0])
     v[start] = 1.0
     for _ in range(k):
@@ -121,42 +133,12 @@ def step_reach(D: Dtmc | Ctmc, s: int | str | None, k: int) -> float:
     return float(v[g])
 
 
-def _reachable_from(P: np.ndarray, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in np.flatnonzero(P[v] > 0.0):
-            u = int(u)
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
-def _can_reach(P: np.ndarray, target: int) -> set[int]:
-    n = P.shape[0]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    rows, cols = np.nonzero(P > 0.0)
-    for i, j in zip(rows, cols):
-        preds[j].append(int(i))
-    seen = {target}
-    stack = [target]
-    while stack:
-        v = stack.pop()
-        for u in preds[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
-def reach_prob(M: Ctmc | Dtmc) -> float:
+def reach_prob(M: Ctmc) -> float:
     """Probability of ever reaching the goal state (untimed)."""
     g = M.goal_state()
     if M.initial == g:
         return 1.0
-    can = _can_reach(M.P, g)
+    can = graph.reach(M.pred, [g])
     if M.initial not in can:
         return 0.0
     T = sorted(can - {g})
@@ -188,7 +170,7 @@ class HitStepDistribution:
         return float(self.probs[n - 1]) if n <= len(self.probs) else 0.0
 
 
-def hit_exact_steps(M: Ctmc | Dtmc, K: int) -> HitStepDistribution:
+def hit_exact_steps(M: Ctmc, K: int) -> HitStepDistribution:
     """p_n = (P^n - P^{n-1})[init, g] for n = 1..K (g absorbing)."""
     g = M.goal_state()
     n_states = M.P.shape[0]
@@ -204,12 +186,12 @@ def hit_exact_steps(M: Ctmc | Dtmc, K: int) -> HitStepDistribution:
     return HitStepDistribution(probs=probs, reach=reach_prob(M))
 
 
-def expected_hit_steps(M: Ctmc | Dtmc) -> float:
+def expected_hit_steps(M: Ctmc) -> float:
     """Expected number of embedded steps to absorb in g; ``inf`` as soon
     as some state reachable from the initial state cannot reach g."""
     g = M.goal_state()
-    reachable = _reachable_from(M.P, M.initial)
-    can = _can_reach(M.P, g)
+    reachable = graph.reach(M.succ, [M.initial])
+    can = graph.reach(M.pred, [g])
     if not reachable <= can:
         return math.inf
     T = sorted(reachable - {g})
