@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NotBisimilar, PairNotRelated
-from .model import Ctmc, direct_sum
+from .model import Ctmc, _expect, _number, direct_sum
 
 FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
@@ -235,13 +235,6 @@ def pair_flow_value(D: Ctmc, R: PairRelation, s: int, t: int) -> float:
     ``1 - (smallest feasible eps)`` by LP duality)."""
     value, _, _, _ = _pair_flow(D.P, R.pairs, s, t)
     return float(value)
-
-
-def check_pair_flow(
-    D: Ctmc, R: PairRelation, s: int, t: int, eps: float, eta: float = FLOW_ETA
-) -> bool:
-    value, _, _, _ = _pair_flow(D.P, R.pairs, s, t)
-    return value >= _F1 - Fraction(float(eps)) - Fraction(float(eta))
 
 
 # --------------------------------------------------------------------------
@@ -588,13 +581,12 @@ def relation_to_dict(R: PairRelation, chain: Ctmc) -> dict:
 
 def relation_from_dict(d: dict, chain: Ctmc) -> PairRelation:
     pairs = set()
-    for pair in d.get("pairs", ()):
+    for pair in _expect(_expect(d, dict, "relation").get("pairs", []), list, "pairs"):
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(s, str) for s in pair)):
             raise ValueError(f"relation pair {pair!r} is not a pair of state ids")
         pairs.add((chain.index(pair[0]), chain.index(pair[1])))
-    return PairRelation.from_off_diagonal(
-        pairs, n=len(chain.ids), eps=float(d.get("eps", 0.0)), delta=float(d.get("delta", 0.0))
-    )
+    eps, delta = _number(d.get("eps", 0.0), "eps"), _number(d.get("delta", 0.0), "delta")
+    return PairRelation.from_off_diagonal(pairs, n=len(chain.ids), eps=eps, delta=delta)
 
 
 def save_relation(R: PairRelation, chain: Ctmc, path: str) -> None:

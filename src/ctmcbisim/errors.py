@@ -28,6 +28,10 @@ class NonpositiveRate(CtmcError):
         super().__init__(f"state {state} has non-positive exit rate")
 
 
+class NonFiniteValue(CtmcError):
+    pass
+
+
 class NonAbsorbingGoal(CtmcError):
     pass
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -24,6 +25,7 @@ from .errors import (
     EmptyGoalSet,
     NoGoalState,
     NonAbsorbingGoal,
+    NonFiniteValue,
     NonpositiveRate,
     NonpositiveScale,
     RateTooSmall,
@@ -174,8 +176,9 @@ def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
 
     Raises the first violation found, with all further violations listed
     in ``err.all_violations``.  Row sums must be 1 within 1e-12, rates
-    strictly positive, all probabilities in [0, 1]; a singleton goal or
-    fail state must be absorbing and carry a label set no other state has.
+    strictly positive, all probabilities in [0, 1], and no probability,
+    rate or reward NaN or infinite; a singleton goal or fail state must be
+    absorbing and carry a label set no other state has.
     """
     if renormalize:
         sums = model.P.sum(axis=1)
@@ -184,6 +187,12 @@ def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
         model = replace(model, P=model.P / sums[:, None])
 
     violations: list[CtmcError] = []
+    for name in ("P", "E", "rewards"):
+        a = getattr(model, name)
+        if a is not None and not np.isfinite(a).all():
+            at = tuple(np.argwhere(~np.isfinite(a))[0])
+            where = ",".join(map(str, at))
+            violations.append(NonFiniteValue(f"{name}[{where}]={float(a[at])!r} is not finite"))
     sums = model.P.sum(axis=1)
     for s in range(model.n):
         if abs(sums[s] - 1.0) > ROW_SUM_TOL:
@@ -310,18 +319,9 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
             return M
 
     transient = [s for s in range(M.n) if s not in G and s not in dead]
-    transient.sort()
     if M.initial in transient:
         transient.remove(M.initial)
         transient.insert(0, M.initial)
-
-    order = list(transient)
-    fail_idx = None
-    if dead:
-        fail_idx = len(order)
-        order.append(-1)  # placeholder for the merged fail state
-    goal_idx = len(order)
-    order.append(-2)  # placeholder for the merged goal state
 
     used_atoms = {a for s in transient for a in M.labels[s]}
     used_ids = {M.ids[s] for s in transient}
@@ -340,50 +340,25 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
     fail_label = (_fresh_atom("fail", used_atoms),)
     fail_id = _fresh_id("fail", used_ids)
 
-    m = len(order)
+    # each merged state (fail, if any, then goal) collects its block's column mass
+    blocks = ([dead] if dead else []) + [sorted(G)]
+    t, m = len(transient), len(transient) + len(blocks)
     P = np.zeros((m, m))
-    E = np.empty(m)
-    ids: list[str] = []
-    labels: list[tuple[str, ...]] = []
-    rewards = np.empty(m) if M.rewards is not None else None
-
-    for new_i, old in enumerate(order):
-        if old >= 0:
-            ids.append(M.ids[old])
-            labels.append(M.labels[old])
-            E[new_i] = M.E[old]
-            if rewards is not None:
-                rewards[new_i] = M.rewards[old]
-            for new_j, tgt in enumerate(order):
-                if tgt >= 0:
-                    P[new_i, new_j] = M.P[old, tgt]
-            if dead:
-                P[new_i, fail_idx] = float(M.P[old, dead].sum())
-            P[new_i, goal_idx] = float(M.P[old, sorted(G)].sum())
-        elif old == -1:
-            ids.append(fail_id)
-            labels.append(fail_label)
-            E[new_i] = float(max(M.E[d] for d in dead))
-            if rewards is not None:
-                rewards[new_i] = float(max(M.rewards[d] for d in dead))
-            P[new_i, new_i] = 1.0
-        else:
-            ids.append(goal_id)
-            labels.append(goal_label)
-            E[new_i] = float(max(M.E[g] for g in G))
-            if rewards is not None:
-                rewards[new_i] = float(max(M.rewards[g] for g in G))
-            P[new_i, new_i] = 1.0
-
-    new_initial = 0 if M.initial in transient else (fail_idx if fail_idx is not None else goal_idx)
+    P[:t, :t] = M.P[np.ix_(transient, transient)]
+    for k, block in enumerate(blocks):
+        P[:t, t + k] = M.P[np.ix_(transient, block)].sum(axis=1)
+        P[t + k, t + k] = 1.0
+    rewards = None
+    if M.rewards is not None:
+        rewards = np.concatenate([M.rewards[transient], [M.rewards[b].max() for b in blocks]])
     return Ctmc(
-        ids=tuple(ids),
-        labels=tuple(labels),
+        ids=tuple(M.ids[s] for s in transient) + ((fail_id,) if dead else ()) + (goal_id,),
+        labels=tuple(M.labels[s] for s in transient) + ((fail_label,) if dead else ()) + (goal_label,),
         P=P,
-        E=E,
-        initial=new_initial,
-        goal=(goal_idx,),
-        fail=(fail_idx,) if fail_idx is not None else (),
+        E=np.concatenate([M.E[transient], [M.E[b].max() for b in blocks]]),
+        initial=0 if M.initial in can_reach else t,
+        goal=(m - 1,),
+        fail=(t,) if dead else (),
         rewards=rewards,
     )
 
@@ -420,24 +395,28 @@ def generator(M: Ctmc) -> np.ndarray:
     return Q
 
 
+def restrict(M: Ctmc, keep: Sequence[int]) -> Ctmc:
+    """The sub-chain on the states ``keep``, in that order; goal and fail
+    states outside ``keep`` are dropped.  ``keep`` must hold the initial state."""
+    new = {old: i for i, old in enumerate(keep)}
+    return replace(
+        M,
+        ids=tuple(M.ids[s] for s in keep),
+        labels=tuple(M.labels[s] for s in keep),
+        P=M.P[np.ix_(keep, keep)],
+        E=M.E[keep],
+        initial=new[M.initial],
+        goal=tuple(new[g] for g in M.goal if g in new),
+        fail=tuple(new[f] for f in M.fail if f in new),
+        rewards=None if M.rewards is None else M.rewards[keep],
+        rate_exprs=None if M.rate_exprs is None else tuple(M.rate_exprs[s] for s in keep),
+    )
+
+
 def prune_unreachable(M: Ctmc) -> Ctmc:
     """Drop states unreachable from the initial state (explicit, never automatic)."""
     seen = graph.reach(M.succ, [M.initial])
-    if len(seen) == M.n:
-        return M
-    keep = sorted(seen)
-    remap = {old: new for new, old in enumerate(keep)}
-    return Ctmc(
-        ids=tuple(M.ids[s] for s in keep),
-        labels=tuple(M.labels[s] for s in keep),
-        P=M.P[np.ix_(keep, keep)].copy(),
-        E=M.E[keep].copy(),
-        initial=remap[M.initial],
-        goal=tuple(remap[g] for g in M.goal if g in remap),
-        fail=tuple(remap[f] for f in M.fail if f in remap),
-        rewards=M.rewards[keep].copy() if M.rewards is not None else None,
-        rate_exprs=tuple(M.rate_exprs[s] for s in keep) if M.rate_exprs is not None else None,
-    )
+    return M if len(seen) == M.n else restrict(M, sorted(seen))
 
 
 # --------------------------------------------------------------------------
@@ -447,39 +426,78 @@ def prune_unreachable(M: Ctmc) -> Ctmc:
 _EXP_RE = re.compile(r"^exp\(\s*([-+0-9.eE]+)\s*\)$")
 
 
-def _parse_rate(value) -> tuple[float, str | None]:
-    if isinstance(value, str):
-        m = _EXP_RE.match(value)
-        if not m:
-            raise ValueError(f"bad exit_rate expression {value!r}; only 'exp(x)' is supported")
+def _expect(value, kind: type | tuple[type, ...], where: str):
+    """``value``, if it is a ``kind``; otherwise ValueError naming the field."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"{where} must be {names}, got {reprlib.repr(value)}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(_expect(value, (int, float), where))
+    except OverflowError:
+        raise ValueError(f"{where} overflows a float") from None
+
+
+def _names(values, where: str) -> list[str]:
+    for k, name in enumerate(_expect(values, list, where)):
+        _expect(name, str, f"{where}[{k}]")
+    return values
+
+
+def _parse_rate(value, where: str) -> tuple[float, str | None]:
+    if not isinstance(value, str):
+        return _number(value, where), None
+    m = _EXP_RE.match(value)
+    if not m:
+        raise ValueError(f"bad exit_rate expression {value!r}; only 'exp(x)' is supported")
+    try:
         return math.exp(float(m.group(1))), value
-    return float(value), None
+    except OverflowError:
+        raise ValueError(f"{where} {value!r} overflows a float") from None
 
 
 def model_from_dict(d: dict) -> Ctmc:
-    states = d["states"]
+    """Chain from the parsed JSON model format; a value of the wrong JSON
+    type raises ValueError naming its field."""
+    states = _expect(_expect(d, dict, "model").get("states"), list, "states")
+    for k, s in enumerate(states):
+        _expect(s, dict, f"states[{k}]")
+        _expect(s.get("id"), str, f"states[{k}].id")
+        _names(s.get("labels"), f"states[{k}].labels")
     ids = tuple(s["id"] for s in states)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate state ids")
     idx = {sid: i for i, sid in enumerate(ids)}
     labels = tuple(tuple(s["labels"]) for s in states)
-    rates, exprs = zip(*(_parse_rate(s["exit_rate"]) for s in states))
+    rates, exprs = zip(
+        *(_parse_rate(s.get("exit_rate"), f"states[{k}].exit_rate") for k, s in enumerate(states))
+    )
     has_rewards = any("reward" in s for s in states)
     rewards = None
     if has_rewards:
-        rewards = np.array([float(s.get("reward", 0.0)) for s in states])
+        rewards = np.array(
+            [_number(s.get("reward", 0.0), f"states[{k}].reward") for k, s in enumerate(states)]
+        )
     n = len(ids)
     P = np.zeros((n, n))
-    for tr in d.get("transitions", ()):
-        P[idx[tr["from"]], idx[tr["to"]]] += float(tr["prob"])
+    try:
+        for tr in _expect(d.get("transitions", []), list, "transitions"):
+            P[idx[tr["from"]], idx[tr["to"]]] += float(tr["prob"])
+    except (TypeError, OverflowError):
+        raise ValueError(
+            "transitions: each entry must be an object with string 'from' and 'to' and a numeric 'prob'"
+        ) from None
     return Ctmc(
         ids=ids,
         labels=labels,
         P=P,
         E=np.array(rates, dtype=float),
-        initial=idx[d["initial"]],
-        goal=tuple(idx[g] for g in d.get("goal", ())),
-        fail=tuple(idx[f] for f in d.get("fail", ())),
+        initial=idx[_expect(d.get("initial"), str, "initial")],
+        goal=tuple(idx[g] for g in _names(d.get("goal", []), "goal")),
+        fail=tuple(idx[f] for f in _names(d.get("fail", []), "fail")),
         rewards=rewards,
         rate_exprs=exprs if any(e is not None for e in exprs) else None,
     )

@@ -11,12 +11,14 @@ zero-reward states do not form a cycle.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import graph
 from .erlang import uniformization_bound
 from .errors import AbsorbingState, NonzeroReward, ZeroReward, ZeroRewardCycle
-from .model import ABSORBING_EPS, Ctmc
+from .model import ABSORBING_EPS, Ctmc, restrict
 from .transient import timed_reach
 
 
@@ -28,13 +30,20 @@ def _require_rewards(M: Ctmc) -> np.ndarray:
     return M.rewards
 
 
+def _drop_self_loop(P: np.ndarray, E: np.ndarray, z: int) -> None:
+    """Thin the self-loop of state z in place: waiting out a geometric
+    number of sojourns is the same exponential as one sojourn at the
+    thinned rate, so the row is renormalized and the exit rate scaled by
+    the removed mass."""
+    loop = float(P[z, z])
+    P[z] = P[z] / (1.0 - loop)
+    P[z, z] = 0.0
+    E[z] = E[z] * (1.0 - loop)
+
+
 def remove_zero_reward_self_loop(M: Ctmc, s: int | str) -> Ctmc:
     """Drop the self-loop of zero-reward state s, preserving the law.
-
-    Waiting out a geometric number of sojourns is the same exponential as
-    one sojourn at the thinned rate, so the row is renormalized and the
-    exit rate scaled by the removed mass.  No-op when there is no loop.
-    """
+    No-op when there is no loop."""
     rewards = _require_rewards(M)
     idx = M.index(s)
     if rewards[idx] != 0.0:
@@ -44,22 +53,9 @@ def remove_zero_reward_self_loop(M: Ctmc, s: int | str) -> Ctmc:
         return M
     if loop >= 1.0 - ABSORBING_EPS:
         raise AbsorbingState(f"state {M.ids[idx]} cannot leave its self-loop")
-    P = M.P.copy()
-    P[idx] = P[idx] / (1.0 - loop)
-    P[idx, idx] = 0.0
-    E = M.E.copy()
-    E[idx] = E[idx] * (1.0 - loop)
-    return Ctmc(
-        ids=M.ids,
-        labels=M.labels,
-        P=P,
-        E=E,
-        initial=M.initial,
-        goal=M.goal,
-        fail=M.fail,
-        rewards=M.rewards,
-        rate_exprs=None,
-    )
+    P, E = M.P.copy(), M.E.copy()
+    _drop_self_loop(P, E, idx)
+    return replace(M, P=P, E=E, rate_exprs=None)
 
 
 def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
@@ -79,10 +75,7 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
         if rewards[f] == 0.0:
             rewards[f] = 1.0
     if not zs:
-        return Ctmc(
-            ids=M.ids, labels=M.labels, P=M.P, E=M.E, initial=M.initial,
-            goal=M.goal, fail=M.fail, rewards=rewards, rate_exprs=M.rate_exprs,
-        )
+        return replace(M, rewards=rewards)
     if M.initial in zs:
         raise ZeroReward(M.initial)
     cycle = graph.find_cycle(M.succ, np.isin(np.arange(M.n), zs), self_loops=False)
@@ -96,9 +89,7 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
         if loop >= 1.0 - ABSORBING_EPS:
             raise AbsorbingState(f"state {M.ids[z]} is absorbing with zero reward")
         if loop > 0.0:
-            P[z] = P[z] / (1.0 - loop)
-            P[z, z] = 0.0
-            E[z] = E[z] * (1.0 - loop)
+            _drop_self_loop(P, E, z)
         col = P[:, z].copy()
         col[z] = 0.0
         hit = np.flatnonzero(col > 0.0)
@@ -106,19 +97,11 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
             P[hit] += col[hit, None] * P[z]
             P[hit, z] = 0.0
 
+    lost = [g for g in M.goal if g in zs]
+    if lost:  # a zero-reward goal cannot be spliced away
+        raise KeyError(lost[0])
     keep = [s for s in range(M.n) if s not in set(zs)]
-    remap = {old: new for new, old in enumerate(keep)}
-    return Ctmc(
-        ids=tuple(M.ids[s] for s in keep),
-        labels=tuple(M.labels[s] for s in keep),
-        P=P[np.ix_(keep, keep)].copy(),
-        E=E[keep].copy(),
-        initial=remap[M.initial],
-        goal=tuple(remap[g] for g in M.goal),
-        fail=tuple(remap[f] for f in M.fail),
-        rewards=rewards[keep].copy(),
-        rate_exprs=None,
-    )
+    return restrict(replace(M, P=P, E=E, rewards=rewards, rate_exprs=None), keep)
 
 
 def hat_transform(M: Ctmc) -> Ctmc:
@@ -131,17 +114,7 @@ def hat_transform(M: Ctmc) -> Ctmc:
     for s in range(M.n):
         if rewards[s] == 0.0:
             raise ZeroReward(s)
-    return Ctmc(
-        ids=M.ids,
-        labels=M.labels,
-        P=M.P,
-        E=M.E / rewards,
-        initial=M.initial,
-        goal=M.goal,
-        fail=M.fail,
-        rewards=None,
-        rate_exprs=None,
-    )
+    return replace(M, E=M.E / rewards, rewards=None, rate_exprs=None)
 
 
 def reward_reach(M: Ctmc, s: int | str | None, r: float, tol: float = 1e-9) -> float:

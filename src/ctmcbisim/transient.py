@@ -70,8 +70,8 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
     Raises ValueError when ``tol`` is below the rounding error of the
     summed weights, so that no K reaches ``1 - tol``.
     """
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
     if mu == 0.0:
         return np.ones(1)
     K = int(math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 30.0))
@@ -261,6 +261,8 @@ def simulate_paths(
     reward-accumulation estimator (weights = per-state reward rates).
     All paths are advanced in lockstep as vector operations.
     """
+    if n < 1:
+        raise ValueError(f"need at least one path, got {n}")
     g = M.goal_state()
     rng = np.random.default_rng(seed)
     weights = np.ones(M.n) if budget_weights is None else np.asarray(budget_weights, dtype=float)

@@ -1,0 +1,280 @@
+"""Model files at the input boundary: non-finite values, values of the
+wrong JSON type and a zero path count all end in exit code 2 with a
+message naming the problem, never in a traceback.  A hypothesis fuzz test
+drives the CLI with malformed and NaN/inf model files and checks the
+exit-code contract (0 ok, 1 negative verdict, 2 bad input, 3 numerical
+failure)."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import re
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctmcbisim import fixtures, load_model, simulate_paths, validate
+from ctmcbisim.model import model_from_dict
+from ctmcbisim.cli import main
+from ctmcbisim.errors import NonFiniteValue
+
+
+def _document():
+    """Three-state rewarded chain file that every subcommand below accepts."""
+    return {
+        "states": [
+            {"id": "s0", "labels": [], "exit_rate": 1.0, "reward": 1.0},
+            {"id": "s1", "labels": ["a"], "exit_rate": 1.0, "reward": 0.5},
+            {"id": "g", "labels": ["g"], "exit_rate": 1.0, "reward": 1.0},
+        ],
+        "transitions": [
+            {"from": "s0", "to": "s1", "prob": 0.5},
+            {"from": "s0", "to": "g", "prob": 0.5},
+            {"from": "s1", "to": "g", "prob": 1.0},
+            {"from": "g", "to": "g", "prob": 1.0},
+        ],
+        "initial": "s0",
+        "goal": ["g"],
+    }
+
+
+def _nan_prob(d):
+    d["transitions"][0]["prob"] = math.nan
+
+
+def _inf_rate(d):
+    d["states"][1]["exit_rate"] = math.inf
+
+
+def _nan_reward(d):
+    d["states"][1]["reward"] = math.nan
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))  # NaN and Infinity are written as such
+    return str(path)
+
+
+def _run(capsys, argv):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+# ------------------------------------------------------------ non-finite values
+
+
+@pytest.mark.parametrize("spoil, field", [
+    (_nan_prob, "P[0,1]=nan"),
+    (_inf_rate, "E[1]=inf"),
+    (_nan_reward, "rewards[1]=nan"),
+])
+def test_validate_rejects_non_finite_values(tmp_path, spoil, field):
+    doc = _document()
+    spoil(doc)
+    with pytest.raises(NonFiniteValue, match=rf"^{re.escape(field)} is not finite"):
+        validate(model_from_dict(doc))
+    with pytest.raises(NonFiniteValue):
+        load_model(_write(tmp_path / "m.json", doc))
+
+
+@pytest.mark.parametrize("spoil, argv", [
+    (_nan_prob, ["bounds", "--delta", "0.1"]),
+    (_nan_prob, ["simulate", "--t", "1", "--paths", "50"]),
+    (_nan_prob, ["check-bisim"]),
+    (_inf_rate, ["simulate", "--t", "1", "--paths", "50"]),
+    (_nan_reward, ["check-bisim"]),
+])
+def test_cli_rejects_non_finite_values(capsys, tmp_path, spoil, argv):
+    doc = _document()
+    spoil(doc)
+    rc, out, err = _run(capsys, [argv[0], "-m", _write(tmp_path / "m.json", doc), *argv[1:]])
+    assert (rc, out) == (2, "")
+    assert err.startswith("NonFiniteValue:")
+
+
+# ------------------------------------------------------------ malformed JSON
+
+
+def _set(key, value, state=None):
+    def spoil(d):
+        (d if state is None else d["states"][state])[key] = value
+        return d
+
+    return spoil
+
+
+MALFORMED = {
+    "states is a number": (_set("states", 5), "states must be list"),
+    "top-level list": (lambda d: [d], "model must be dict"),
+    "labels is a number": (_set("labels", 3, state=0), "states[0].labels must be list"),
+    "transitions is null": (_set("transitions", None), "transitions must be list"),
+    "initial is a list": (_set("initial", ["a"]), "initial must be str"),
+    "transition entry is a list": (_set("transitions", [["s0", "g", 1.0]]), "transitions: each entry"),
+    "exit rate overflows": (_set("exit_rate", "exp(1000)", state=1), "states[1].exit_rate 'exp(1000)'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_model_from_dict_names_the_malformed_field(case):
+    spoil, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_dict(spoil(_document()))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("argv", [
+    ["check-bisim"],
+    ["bounds", "--delta", "0.1"],
+    ["reward-reach", "--bound", "1"],
+    ["spectral-report"],
+    ["pn"],
+    ["simulate", "--t", "1"],
+])
+def test_cli_rejects_malformed_model_file(capsys, tmp_path, case, argv):
+    path = _write(tmp_path / "m.json", MALFORMED[case][0](_document()))
+    rc, out, err = _run(capsys, [argv[0], "-m", path, *argv[1:]])
+    assert (rc, out) == (2, "")
+    assert err.startswith("ValueError:")
+
+
+def test_cli_rejects_malformed_second_model(capsys, tmp_path):
+    good = _write(tmp_path / "a.json", _document())
+    bad = _write(tmp_path / "b.json", {"states": 5})
+    rc, _, err = _run(capsys, ["pair-uniformize", "-m", good, "--model-b", bad, "--delta", "0.1"])
+    assert rc == 2 and err.startswith("ValueError: states must be list")
+
+
+# ------------------------------------------------------------ path count
+
+
+@pytest.mark.parametrize("paths", [0, -3])
+def test_simulate_paths_needs_a_path(paths):
+    with pytest.raises(ValueError, match="at least one path"):
+        simulate_paths(fixtures.branch_merge_chain(), paths, 1.0, 0)
+
+
+def test_cli_simulate_zero_paths(capsys, tmp_path):
+    path = _write(tmp_path / "m.json", _document())
+    rc, out, err = _run(capsys, ["simulate", "-m", path, "--t", "1", "--paths", "0"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("ValueError: need at least one path")
+
+
+def test_non_finite_poisson_mean(capsys, tmp_path):
+    # a reward this small turns exit rate 1 into an infinite clock-rescaled rate
+    doc = _document()
+    doc["states"][1]["reward"] = 5e-324
+    rc, _, err = _run(capsys, ["reward-reach", "-m", _write(tmp_path / "m.json", doc), "--bound", "1"])
+    assert rc == 2 and err.startswith("ValueError: mu must be finite")
+
+
+# ------------------------------------------------------------ fuzz
+
+_ODD_VALUES = (
+    None, True, 0, -1, 2, 0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 10**400,
+    "", "s0", "g", "exp(1000)", "exp(0.5)", [], {}, ["g"], [1], {"a": 1},
+)
+_FIELDS = {
+    "model": ("states", "transitions", "initial", "goal", "fail"),
+    "states": ("id", "labels", "exit_rate", "reward"),
+    "transitions": ("from", "to", "prob"),
+}
+_SPLITS = {1: (1.0,), 2: (0.5, 0.5), 3: (0.5, 0.25, 0.25)}
+
+
+@st.composite
+def model_documents(draw):
+    """A valid chain file of two to four states (uniform rates in most
+    draws, so that ``bounds`` gets past its rate check), then up to two
+    edits: a field set to an odd JSON value or deleted, or the whole
+    document replaced."""
+    n = draw(st.integers(2, 4))
+    ids = [f"s{i}" for i in range(n - 1)] + ["g"]
+    rates = st.sampled_from((0.5, 1.0, 2.0))
+    uniform = draw(st.integers(0, 3)) > 0
+    rate = draw(rates)
+    states = [
+        {
+            "id": sid,
+            "labels": ["g"] if sid == "g" else draw(st.sampled_from(([], ["a"]))),
+            "exit_rate": rate if uniform else draw(rates),
+            "reward": 1.0 if i == 0 else draw(st.sampled_from((0.0, 0.5, 1.0))),
+        }
+        for i, sid in enumerate(ids)
+    ]
+    transitions = [{"from": "g", "to": "g", "prob": 1.0}]
+    for i, sid in enumerate(ids[:-1]):
+        targets = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+        if ids[i + 1] not in targets:
+            targets[-1] = ids[i + 1]
+            targets = list(dict.fromkeys(targets))
+        transitions += [{"from": sid, "to": t, "prob": p} for t, p in zip(targets, _SPLITS[len(targets)])]
+    doc = {"states": states, "transitions": transitions, "initial": "s0", "goal": ["g"]}
+
+    for _ in range(draw(st.integers(0, 2))):
+        value = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        where = draw(st.sampled_from(("document", *_FIELDS)))
+        if where == "document" or not isinstance(doc, dict):
+            doc = value
+            continue
+        target = doc
+        if where != "model":
+            items = doc.get(where)
+            if not isinstance(items, list) or not items or not all(isinstance(x, dict) for x in items):
+                continue
+            target = items[draw(st.integers(0, len(items) - 1))]
+        key = draw(st.sampled_from(_FIELDS[where]))
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return doc
+
+
+_FUZZ_COMMANDS = (
+    ["check-bisim", "--eps", "0.1"],
+    ["bounds", "--delta", "0.1", "--tmax", "2", "--steps", "4",
+     "--which", "exact,unif,erlangN,markov,spectral,combined"],
+    ["simulate", "--t", "1", "--paths", "50"],
+    ["reward-reach", "--bound", "1", "--eps", "0.1"],
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=model_documents())
+def test_cli_fuzz_keeps_the_exit_code_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in _FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([argv[0], "-m", path, *argv[1:]])  # an escaping exception fails the test
+            assert rc in (0, 1, 2, 3), (argv[0], rc)
+            assert "Traceback" not in err.getvalue()
+
+
+
+# ------------------------------------------------------------ relation files
+
+
+@pytest.mark.parametrize("relation, message", [
+    ([1], "relation must be dict"),
+    ({"pairs": 5}, "pairs must be list"),
+    ({"pairs": [], "eps": None}, "eps must be int or float"),
+    ({"pairs": [], "delta": [1]}, "delta must be int or float"),
+])
+def test_cli_rejects_malformed_relation_file(capsys, tmp_path, relation, message):
+    model = _write(tmp_path / "m.json", _document())
+    rel = _write(tmp_path / "r.json", relation)
+    rc, out, err = _run(capsys, ["pair-uniformize", "-m", model, "--model-b", model,
+                                 "--delta", "0.1", "--relation", rel])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"ValueError: {message}")
