@@ -223,7 +223,7 @@ def cmd_pair_uniformize(args) -> int:
 
 def cmd_spectral_report(args) -> int:
     M = load_model(args.model)
-    _json(spectral_report(M), args.out)
+    _json(spectral_report(M, args.tol), args.out)
     return 0
 
 
@@ -271,6 +271,22 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _at_least(low: float, strict: bool = False):
+    """argparse type: a float >= low (> low when ``strict``); NaN fails both."""
+
+    def number(text: str) -> float:
+        x = float(text)
+        if not (x > low if strict else x >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low:g}, got {text!r}")
+        return x
+
+    return number
+
+
+_NONNEGATIVE = _at_least(0.0)
+_POSITIVE = _at_least(0.0, strict=True)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ctmcbisim",
@@ -282,20 +298,23 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", "-m", "--model-a", dest="model", required=required,
                         help="model JSON file")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--tol", type=float, default=1e-9)
+
+    def add_tol(sp):
+        sp.add_argument("--tol", type=_POSITIVE, default=1e-9, help="truncation tolerance (> 0)")
 
     sp = sub.add_parser("check-bisim", help="compute the relation and check the initial states")
     add_model(sp)
     sp.add_argument("--model-b", default=None, help="second model (relation on the direct sum)")
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--delta", type=float, default=0.0)
+    sp.add_argument("--eps", type=_NONNEGATIVE, default=0.0)
+    sp.add_argument("--delta", type=_NONNEGATIVE, default=0.0)
     sp.add_argument("--explain", action="store_true", help="report why the initial pair fails")
     sp.set_defaults(fn=cmd_check_bisim)
 
     sp = sub.add_parser("bounds", help="error-bound curves against the exact difference")
     add_model(sp)
-    sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--delta", type=float, required=True)
+    add_tol(sp)
+    sp.add_argument("--eps", type=_NONNEGATIVE, default=0.0)
+    sp.add_argument("--delta", type=_NONNEGATIVE, required=True)
     sp.add_argument("--tmax", type=float, default=30.0)
     sp.add_argument("--steps", type=int, default=60)
     sp.add_argument("--which", default="exact,erlangN,spectral",
@@ -314,33 +333,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reward-reach", help="reward-bounded reachability probability")
     add_model(sp)
+    add_tol(sp)
     sp.add_argument("--bound", type=float, required=True, help="reward budget r")
     sp.add_argument("--state", default=None, help="start state id (default: initial)")
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--eps", type=_NONNEGATIVE, default=None)
+    sp.add_argument("--delta", type=_NONNEGATIVE, default=None)
     sp.set_defaults(fn=cmd_reward_reach)
 
     sp = sub.add_parser("pair-uniformize", help="flatten a (0,delta)-related pair to uniform rates")
     add_model(sp)
     sp.add_argument("--model-b", required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--delta", type=_NONNEGATIVE, required=True)
     sp.add_argument("--relation", default=None,
                     help="relation JSON over the direct sum (default: greatest (0,delta) relation)")
     sp.set_defaults(fn=cmd_pair_uniformize)
 
     sp = sub.add_parser("spectral-report", help="eigenstructure of the goal-normalized jump matrix")
     add_model(sp)
+    add_tol(sp)
     sp.set_defaults(fn=cmd_spectral_report)
 
     sp = sub.add_parser("pn", help="hitting-step formula vs. matrix-power oracle")
     add_model(sp)
+    add_tol(sp)
     sp.add_argument("--steps", type=int, default=30)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_pn)
 
     sp = sub.add_parser("simulate", help="seeded Monte Carlo time-bounded reachability")
     add_model(sp)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_NONNEGATIVE, required=True)
     sp.add_argument("--paths", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--confidence", type=float, default=0.95)

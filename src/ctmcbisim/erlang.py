@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonUniformRates, NotApplicable
 from .model import Ctmc
-from .transient import expected_hit_steps, hit_exact_steps, log_factorials, reach_prob
+from .transient import MAX_TERMS, expected_hit_steps, hit_exact_steps, log_factorials, reach_prob
 
 
 def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
@@ -158,6 +158,8 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     M.goal_state()
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     ts = [float(t) for t in t_grid]
     out = np.zeros(len(ts))
     if delta == 0.0 or not any(ts):
@@ -168,7 +170,7 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     while True:
         hits = hit_exact_steps(M, K)
         remaining = total_reach - float(hits.probs.sum())
-        if remaining < tol or K > 1 << 22:
+        if remaining < tol or K > MAX_TERMS:
             break
         K *= 2
     for i, t in enumerate(ts):
@@ -197,6 +199,8 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
     M.goal_state()
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     ex = expected_hit_steps(M)
     if math.isinf(ex):
         raise NotApplicable("expected hitting steps are infinite (fail state reachable)")
@@ -215,7 +219,7 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
             diffs = erlang_diff_prefix(c, teff, K)
             partial = float(np.dot(diffs[1:], 1.0 / np.arange(1.0, K + 1.0)))
             tail = max(0.0, total - float(diffs[1:].sum())) / (K + 1.0)
-            if ex * tail < tol or K > 1 << 22:
+            if ex * tail < tol or K > MAX_TERMS:
                 out[i] = min(1.0, ex * (partial + tail))
                 break
             K *= 2

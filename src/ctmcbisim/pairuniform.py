@@ -21,6 +21,7 @@ import numpy as np
 from .bisim import PairRelation, is_bisimulation
 from .errors import CtmcError, NotTransitive, NotZeroDeltaBisim, OrderingAssumptionViolated
 from .model import Ctmc, direct_sum, normalize_goal, prune_unreachable, uniformize
+from .transient import timed_reach_curve
 
 ORDERING_GRID = (0.5, 1.0, 2.0, 5.0)
 ORDERING_TOL = 1e-9
@@ -44,14 +45,11 @@ class PairUniformResult:
         return iter((self.m_uniform, self.n_uniform))
 
 
-def _reach_curve(M: Ctmc, ts) -> list[float] | None:
+def _reach_curve(M: Ctmc, ts) -> np.ndarray | None:
     """Goal-reaching probabilities on a small grid, or None when the chain
     has no usable goal marking."""
-    from .transient import timed_reach  # local: transient imports model only
-
     try:
-        Mn = normalize_goal(prune_unreachable(M))
-        return [timed_reach(Mn, None, float(t)) for t in ts]
+        return timed_reach_curve(normalize_goal(prune_unreachable(M)), ts)
     except (CtmcError, ValueError):
         return None
 

@@ -34,7 +34,7 @@ from .errors import (
 from . import graph
 from .model import ABSORBING_EPS, Ctmc, normalize_goal, prune_unreachable
 from .pairuniform import uniformize_pair
-from .transient import hit_exact_steps
+from .transient import MAX_TERMS, hit_exact_steps
 
 #: eigenvalues closer than this are treated as one (defective) eigenvalue
 CLUSTER_TOL = 1e-7
@@ -431,7 +431,7 @@ def _diag_bound_from(sd: SpectralData, rate: float, delta: float, t_grid, tol: f
     c = math.exp(delta)
 
     K = 64
-    while trans * C * lam**K / (1.0 - lam) >= tol and K < (1 << 22):
+    while trans * C * lam**K / (1.0 - lam) >= tol and K < MAX_TERMS:
         K *= 2
     tail = trans * C * lam**K / (1.0 - lam)
     pows = lam ** np.arange(K)
@@ -476,7 +476,7 @@ def _jordan_bound_from(sd: SpectralData, rate: float, delta: float, t_grid, tol:
         rho = lam * ((K + 2) / (K + 1)) ** (r_reg - 1)
         if rho < 1.0:
             tail = C * envelope(K + 1) / (1.0 - rho)
-            if tail < tol or K >= (1 << 22):
+            if tail < tol or K >= MAX_TERMS:
                 break
         K *= 2
     ks = np.arange(R + 1, K + 1, dtype=float)
@@ -569,10 +569,11 @@ def combined_bound(
     return np.clip(out, 0.0, 1.0)
 
 
-def spectral_report(M: Ctmc) -> dict:
-    """Decomposition summary of the goal-normalized jump matrix."""
+def spectral_report(M: Ctmc, tol: float = 1e-9) -> dict:
+    """Decomposition summary of the goal-normalized jump matrix, decomposed
+    within ``tol``."""
     Mn = normalize_goal(prune_unreachable(M))
-    sd = decompose(Mn.P)
+    sd = decompose(Mn.P, tol=tol)
     return {
         "kind": sd.kind,
         "states": list(Mn.ids),

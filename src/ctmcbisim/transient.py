@@ -2,18 +2,21 @@
 
 The workhorse is the subordinated-Poisson series
 ``pi_t = sum_k e^{-qt} (qt)^k / k! * init * Pbar^k`` with right
-truncation once the accumulated Poisson mass reaches ``1 - tol``.
-On top of it: timed and step-bounded reachability, exact-step hitting
-probabilities ``p_n``, expected hitting steps, ground-truth
-acceleration-error curves, and a seeded Monte Carlo cross-check.
+truncation once the accumulated Poisson mass reaches ``1 - tol``.  One
+generator, ``_powers``, yields ``init * Pbar^k`` for every series here,
+and a time grid shares one run of it.  On top of it: timed and
+step-bounded reachability, exact-step hitting probabilities ``p_n``,
+expected hitting steps, ground-truth acceleration-error curves, and a
+seeded Monte Carlo cross-check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +25,10 @@ from .errors import JumpBudgetExceeded, NonUniformRates
 from .model import Ctmc, scale, uniformize
 
 DEFAULT_TRUNCATION_ERROR = 1e-10
+
+#: truncation-depth cap shared by the series of the package (Poisson
+#: weights, hit-step distributions, the Erlang and spectral tails)
+MAX_TERMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,8 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
     Computed per-term through ``exp(-mu + k*ln(mu) - lgamma(k+1))`` so
     large ``mu`` neither overflows nor loses the mass near the mode.
     Raises ValueError when ``tol`` is below the rounding error of the
-    summed weights, so that no K reaches ``1 - tol``.
+    summed weights, so that no K reaches ``1 - tol``, and before
+    allocating once K would pass ``MAX_TERMS``.
     """
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
@@ -78,6 +86,10 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
     log_mu = math.log(mu)
     last = None
     while True:
+        if K > MAX_TERMS:
+            raise ValueError(
+                f"Poisson({mu!r}) weights for tol={tol!r} need more than {MAX_TERMS} terms"
+            )
         w = np.exp(-mu + np.arange(K + 1) * log_mu - log_factorials(K))
         cum = np.cumsum(w)
         if cum[-1] >= 1.0 - tol:
@@ -94,43 +106,57 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
         K *= 2
 
 
+def _powers(P: np.ndarray, start: int) -> Iterator[np.ndarray]:
+    """``e_start P^k`` for k = 0, 1, 2, ..., one vector-matrix product per step."""
+    v = np.zeros(P.shape[0])
+    v[start] = 1.0
+    while True:
+        yield v
+        v = v @ P
+
+
 def transient_distribution(M: Ctmc, query: TransientQuery) -> np.ndarray:
     """State distribution at the query horizon, truncation error < tol."""
     start = M.initial if query.start is None else query.start
     q = M.max_rate()
     D = uniformize(M, q)
     w = poisson_weights(q * query.horizon, query.truncation_error)
-    v = np.zeros(M.n)
-    v[start] = 1.0
-    acc = w[0] * v
-    for k in range(1, len(w)):
-        v = v @ D.P
-        acc = acc + w[k] * v
-    return acc
+    return sum(wk * v for wk, v in zip(w, _powers(D.P, start)))
+
+
+def _timed_curve(M: Ctmc, s: int | str | None, t_grid: Sequence[float], tol: float) -> np.ndarray:
+    """Pr(in the goal state at t) from s at every grid time.
+
+    TransientQuery checks each t; one goal series, as deep as the largest t
+    needs, serves the grid, and each t sums its weights over it in index
+    order, which gives the bits of a series run for that t alone."""
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        return np.empty(0)
+    g = M.goal_state()
+    start = M.initial if s is None else M.index(s)
+    q = M.max_rate()
+    weights = [poisson_weights(q * TransientQuery(start, t, tol).horizon, tol) for t in ts]
+    series = itertools.islice(_powers(uniformize(M, q).P, start), max(map(len, weights)))
+    x = np.array([v[g] for v in series])
+    return np.array([np.cumsum(w * x[: len(w)])[-1] for w in weights])
 
 
 def timed_reach(M: Ctmc, s: int | str | None, t: float, tol: float = 1e-9) -> float:
     """Probability of sitting in the goal state at time t (= reaching it
     by t, since the goal is absorbing)."""
-    g = M.goal_state()
-    start = M.initial if s is None else M.index(s)
-    pi = transient_distribution(M, TransientQuery(start=start, horizon=t, truncation_error=tol))
-    return float(pi[g])
+    return float(_timed_curve(M, s, [t], tol)[0])
 
 
 def timed_reach_curve(M: Ctmc, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
-    return np.array([timed_reach(M, None, float(t), tol) for t in t_grid])
+    return _timed_curve(M, None, t_grid, tol)
 
 
 def step_reach(D: Ctmc, s: int | str | None, k: int) -> float:
     """``(P^k)[s, g]`` by iterated vector-matrix products."""
     g = D.goal_state()
     start = D.initial if s is None else D.index(s)
-    v = np.zeros(D.P.shape[0])
-    v[start] = 1.0
-    for _ in range(k):
-        v = v @ D.P
-    return float(v[g])
+    return float(next(itertools.islice(_powers(D.P, start), k, None))[g])
 
 
 def reach_prob(M: Ctmc) -> float:
@@ -173,17 +199,8 @@ class HitStepDistribution:
 def hit_exact_steps(M: Ctmc, K: int) -> HitStepDistribution:
     """p_n = (P^n - P^{n-1})[init, g] for n = 1..K (g absorbing)."""
     g = M.goal_state()
-    n_states = M.P.shape[0]
-    v = np.zeros(n_states)
-    v[M.initial] = 1.0
-    prev = float(v[g])
-    probs = np.empty(K)
-    for n in range(1, K + 1):
-        v = v @ M.P
-        cur = float(v[g])
-        probs[n - 1] = max(0.0, cur - prev)
-        prev = cur
-    return HitStepDistribution(probs=probs, reach=reach_prob(M))
+    x = np.array([v[g] for v in itertools.islice(_powers(M.P, M.initial), K + 1)])
+    return HitStepDistribution(probs=np.maximum(np.diff(x), 0.0), reach=reach_prob(M))
 
 
 def expected_hit_steps(M: Ctmc) -> float:
@@ -216,11 +233,7 @@ def diff_curve(M: Ctmc, c: float, t_grid: Sequence[float], tol: float = 1e-9) ->
     M.goal_state()
     if c == 1.0:
         return np.zeros(len(t_grid))
-    Mc = scale(M, c)
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        out[i] = abs(timed_reach(Mc, None, float(t), tol) - timed_reach(M, None, float(t), tol))
-    return out
+    return np.abs(timed_reach_curve(scale(M, c), t_grid, tol) - timed_reach_curve(M, t_grid, tol))
 
 
 @dataclass(frozen=True)
