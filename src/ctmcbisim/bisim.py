@@ -4,9 +4,10 @@ The additive successor-probability condition ``P(s, A) <= P(t, R(A)) + eps``
 is decided through its transportation reformulation: a maximum flow from
 the successors of ``s`` to the successors of ``t`` along related pairs,
 which must carry at least ``1 - eps`` mass.  Flows run over exact
-rationals (every float is one), so boundary instances where the optimum
-equals ``1 - eps`` exactly cannot flap; a tolerance ``eta`` absorbs only
-the rounding already present in the inputs.
+power-of-two-scaled integers (every float is a dyadic rational), so
+boundary instances where the optimum equals ``1 - eps`` exactly cannot
+flap; a tolerance ``eta`` absorbs only the rounding already present in
+the inputs.
 
 Included: pair checks and witness couplings, the greatest-fixpoint
 relation at (eps, delta), strong bisimulation by partition refinement,
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,10 +30,6 @@ from .model import Ctmc, _expect, _number, direct_sum
 
 FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_UNBOUNDED = Fraction(2)  # any s-t flow is <= 1, so capacity 2 never binds
 
 
 # --------------------------------------------------------------------------
@@ -77,20 +73,26 @@ class PairRelation:
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
 
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """``adjacency[s]`` is the set of states related to ``s``."""
+        related: list[set[int]] = [set() for _ in range(self.n)]
+        for s, t in self.pairs:
+            related[s].add(t)
+        return tuple(frozenset(r) for r in related)
+
     def related_to(self, s: int) -> frozenset[int]:
-        return frozenset(t for (a, t) in self.pairs if a == s)
+        return self.adjacency[s]
 
     def off_diagonal(self) -> list[tuple[int, int]]:
         return sorted((s, t) for (s, t) in self.pairs if s < t)
 
     def is_transitive(self) -> bool:
-        related = {s: set() for s in range(self.n)}
-        for s, t in self.pairs:
-            related[s].add(t)
-        return all(related[t] <= related[s] for s in range(self.n) for t in related[s])
+        adj = self.adjacency
+        return all(adj[t] <= adj[s] for s in range(self.n) for t in adj[s])
 
     def transitive_closure(self) -> "PairRelation":
-        related = {s: {t for (a, t) in self.pairs if a == s} for s in range(self.n)}
+        related = [set(r) for r in self.adjacency]
         changed = True
         while changed:
             changed = False
@@ -111,7 +113,7 @@ class PairRelation:
         for s in range(self.n):
             if s in seen:
                 continue
-            cls_ = frozenset(self.related_to(s))
+            cls_ = self.adjacency[s]
             seen |= cls_
             blocks.append(cls_)
         return Partition(blocks=tuple(blocks))
@@ -150,8 +152,8 @@ def compose(R1: PairRelation, R2: PairRelation) -> PairRelation:
     reflexive-symmetric), the witness behind additivity of (eps, delta)."""
     if R1.n != R2.n:
         raise ValueError("relations live on different state counts")
-    r2 = {s: R2.related_to(s) for s in range(R2.n)}
-    pairs = {(s, u) for (s, t) in R1.pairs for u in r2[t]}
+    adj1, adj2 = R1.adjacency, R2.adjacency
+    pairs = {(s, u) for s in range(R1.n) for u in set().union(*(adj2[t] for t in adj1[s]))}
     return PairRelation(
         n=R1.n,
         pairs=reflexive_symmetric_closure(pairs, R1.n),
@@ -161,80 +163,152 @@ def compose(R1: PairRelation, R2: PairRelation) -> PairRelation:
 
 
 # --------------------------------------------------------------------------
-# max-flow machinery (exact rationals)
+# max-flow kernel (exact, power-of-two-scaled integers)
 # --------------------------------------------------------------------------
+#
+# Every float is a dyadic rational m / 2**k.  Scaling a pair's two rows and
+# its threshold by the largest of their denominators turns the pair network
+# into an integer one with the same cuts, so the verdicts are the exact
+# rational ones.  The numbers are Python ints (a subnormal entry needs the
+# scale 2**1074), and int / int true division rounds correctly, so every
+# float read off a flow is the one the rational value rounds to.
+
+#: a state's successors in ascending order, the jump probabilities to them
+#: as integers over 2**exp, and exp
+_Row = tuple[list[int], list[int], int]
 
 
-def _max_flow(adj: dict[int, dict[int, Fraction]], source: int, sink: int) -> tuple[Fraction, dict]:
-    """Edmonds–Karp; returns (value, flow per original edge)."""
-    res: dict[int, dict[int, Fraction]] = {u: dict(nb) for u, nb in adj.items()}
-    for u, nb in adj.items():
-        for v in nb:
-            res.setdefault(v, {}).setdefault(u, _F0)
-    res.setdefault(source, {})
-    res.setdefault(sink, {})
-    total = _F0
-    while True:
-        parent: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v, c in res[u].items():
-                if v not in parent and c > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
+def _row(M: Ctmc, s: int) -> _Row:
+    indptr, indices = M.succ
+    succ = indices[indptr[s] : indptr[s + 1]].tolist()
+    ratios = [p.as_integer_ratio() for p in M.P[s, succ].tolist()]
+    exp = max((d.bit_length() for _, d in ratios), default=1) - 1
+    return succ, [n << (exp + 1 - d.bit_length()) for n, d in ratios], exp
+
+
+def _threshold(eps: float, eta: float) -> tuple[int, int]:
+    """``1 - eps - eta`` exactly, as a numerator over 2**exp, and exp."""
+    (en, ed), (hn, hd) = float(eps).as_integer_ratio(), float(eta).as_integer_ratio()
+    d = max(ed, hd)
+    return d - en * (d // ed) - hn * (d // hd), d.bit_length() - 1
+
+
+class _Flow(NamedTuple):
+    """A flow on the network of one pair; every amount is over 2**exp."""
+
+    value: int
+    target: int  # the threshold
+    exp: int
+    flow: list[dict[int, int]]  # flow[i][j] from succ_s[i] to related succ_t[j]
+    supply: list[int]  # unused supply of each succ_s[i]
+    demand: list[int]  # unmet demand of each succ_t[j]
+
+
+def _max_flow(
+    row_s: _Row, row_t: _Row, related: Sequence[AbstractSet[int]], threshold: tuple[int, int], stop: bool = False
+) -> _Flow:
+    """Edmonds–Karp on the transportation network of a pair: source ->
+    ``succ_s[i]`` (capacity its probability) -> related ``succ_t[j]``
+    (unbounded) -> sink (capacity its probability).
+
+    ``related[a]`` is the set of states related to ``a``.  Each
+    breadth-first search queues the ``succ_s`` nodes with supply left, in
+    order, then scans a ``succ_s`` node's edges in ``succ_t`` order and a
+    ``succ_t`` node's sink edge before its reverse edges; the edge flows
+    are those of the rational Edmonds–Karp kept in
+    ``tests/test_flow_kernel.py``.  With ``stop`` the search ends once the
+    value reaches the threshold: the value is then exact only below it.
+    """
+    (succ_s, cap_s, exp_s), (succ_t, cap_t, exp_t) = row_s, row_t
+    thr, exp_thr = threshold
+    exp = max(exp_s, exp_t, exp_thr)
+    target = thr << (exp - exp_thr)
+    supply = [c << (exp - exp_s) for c in cap_s]
+    demand = [c << (exp - exp_t) for c in cap_t]
+    unbounded = 2 << exp  # any flow is <= 1, so capacity 2 never binds
+    m = len(succ_s)
+    col = {b: j for j, b in enumerate(succ_t)}
+    targets = set(succ_t)
+    # succ_t ascends, so the related successors in order give columns in order
+    nbr = [[col[b] for b in sorted(related[a] & targets)] for a in succ_s]
+    flow = [dict.fromkeys(js, 0) for js in nbr]
+    total = 0
+    # The search finds the paths source -> i -> j -> sink first, in this
+    # order, and supplies and demands only fall, so one pass takes them all.
+    for i, js in enumerate(nbr):
+        for j in js:
+            if demand[j]:
+                x = min(supply[i], demand[j], unbounded)
+                flow[i][j] = x
+                supply[i] -= x
+                demand[j] -= x
+                total += x
+                if not supply[i]:
+                    break
+    if stop and total >= target:
+        return _Flow(total, target, exp, flow, supply, demand)
+    rev: list[list[int]] = [[] for _ in succ_t]
+    for i, js in enumerate(nbr):
+        for j in js:
+            rev[j].append(i)
+    while not (stop and total >= target):
+        # nodes 0..m-1 stand for succ_s, m + j for succ_t[j]; prev[i] is -1
+        # for a node reached from the source
+        prev: list[int | None] = [None] * (m + len(succ_t))
+        queue = [i for i in range(m) if supply[i] > 0]
+        for i in queue:
+            prev[i] = -1
+        end = -1
+        for u in queue:  # grows while it is walked
+            if u < m:
+                fu = flow[u]
+                for j in nbr[u]:
+                    if prev[m + j] is None and fu[j] < unbounded:
+                        prev[m + j] = u
+                        queue.append(m + j)
+            elif demand[u - m] > 0:
+                end = u - m
+                break
+            else:
+                j = u - m
+                for i in rev[j]:
+                    if prev[i] is None and flow[i][j] > 0:
+                        prev[i] = u
+                        queue.append(i)
+        if end < 0:
             break
-        path = [sink]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        aug = min(res[path[i]][path[i + 1]] for i in range(len(path) - 1))
-        for i in range(len(path) - 1):
-            u, v = path[i], path[i + 1]
-            res[u][v] -= aug
-            res[v][u] += aug
+        # walk back from the sink: forward edges (i, j), and reverse edges
+        # that cancel flow on (i, j)
+        forward, back = [], []
+        aug, j = demand[end], end
+        while True:
+            i = prev[m + j]
+            forward.append((i, j))
+            aug = min(aug, unbounded - flow[i][j])
+            if prev[i] < 0:
+                aug = min(aug, supply[i])
+                break
+            j = prev[i] - m
+            back.append((i, j))
+            aug = min(aug, flow[i][j])
+        supply[i] -= aug
+        demand[end] -= aug
+        for i, j in forward:
+            flow[i][j] += aug
+        for i, j in back:
+            flow[i][j] -= aug
         total += aug
-    flows = {
-        (u, v): cap - res[u][v] for u, nb in adj.items() for v, cap in nb.items() if cap > res[u][v]
-    }
-    return total, flows
+    return _Flow(total, target, exp, flow, supply, demand)
 
 
-def _pair_flow(
-    P: np.ndarray, related: frozenset[tuple[int, int]] | set[tuple[int, int]], s: int, t: int
-):
-    """Transportation network for the pair (s, t); returns
-    (flow value, per-edge flows, successor lists)."""
-    succ_s = [int(a) for a in np.flatnonzero(P[s] > 0.0)]
-    succ_t = [int(b) for b in np.flatnonzero(P[t] > 0.0)]
-    src, snk = 0, 1
-    node_s = {a: 2 + i for i, a in enumerate(succ_s)}
-    node_t = {b: 2 + len(succ_s) + j for j, b in enumerate(succ_t)}
-    adj: dict[int, dict[int, Fraction]] = {src: {}}
-    for a, u in node_s.items():
-        adj[src][u] = Fraction(float(P[s, a]))
-        row = adj.setdefault(u, {})
-        for b, v in node_t.items():
-            if (a, b) in related:
-                row[v] = _UNBOUNDED
-    for b, v in node_t.items():
-        adj.setdefault(v, {})[snk] = Fraction(float(P[t, b]))
-    value, flows = _max_flow(adj, src, snk)
-    edge_flow = {
-        (a, b): flows.get((node_s[a], node_t[b]), _F0)
-        for a in succ_s
-        for b in succ_t
-        if (a, b) in related
-    }
-    return value, edge_flow, succ_s, succ_t
+def _related_mass(f: _Flow) -> float:
+    return f.value / (1 << f.exp)
 
 
 def pair_flow_value(D: Ctmc, R: PairRelation, s: int, t: int) -> float:
     """The maximum mass placeable on related successor pairs (exactly
     ``1 - (smallest feasible eps)`` by LP duality)."""
-    value, _, _, _ = _pair_flow(D.P, R.pairs, s, t)
-    return float(value)
+    return _related_mass(_max_flow(_row(D, s), _row(D, t), R.adjacency, (0, 0)))
 
 
 # --------------------------------------------------------------------------
@@ -277,53 +351,45 @@ def extract_coupling(
 ) -> Coupling:
     """Max-flow transport on related pairs, completed to exact marginals
     by northwest-corner filling of the leftover supplies/demands."""
-    value, edge_flow, succ_s, succ_t = _pair_flow(D.P, R.pairs, s, t)
-    if value < _F1 - Fraction(float(eps)) - Fraction(float(eta)):
+    row_s, row_t = _row(D, s), _row(D, t)
+    f = _max_flow(row_s, row_t, R.adjacency, _threshold(eps, eta))
+    if f.value < f.target:
         raise PairNotRelated(
-            f"flow {float(value):.12g} < 1 - eps for pair ({s},{t}); cannot extract a coupling"
+            f"flow {_related_mass(f):.12g} < 1 - eps for pair ({s},{t}); cannot extract a coupling"
         )
-    P = D.P
-    mass = {(a, b): f for (a, b), f in edge_flow.items() if f > 0}
-    supply = {a: Fraction(float(P[s, a])) for a in succ_s}
-    demand = {b: Fraction(float(P[t, b])) for b in succ_t}
-    for (a, b), f in mass.items():
-        supply[a] -= f
-        demand[b] -= f
+    (succ_s, cap_s, exp_s), (succ_t, _, _) = row_s, row_t
+    mass = {(i, j): x for i, fi in enumerate(f.flow) for j, x in fi.items() if x > 0}
+    supply, demand = f.supply, f.demand
     j = 0
     last = len(succ_t) - 1
-    for a in succ_s:
-        while supply[a] > 0:
+    for i in range(len(succ_s)):
+        while supply[i] > 0:
             if j > last:
                 # the two rows rarely sum to exactly one in exact arithmetic,
                 # so the leftovers can differ by an ulp; park the excess on
                 # the final column, where it vanishes in the float weights
-                mass[(a, succ_t[last])] = mass.get((a, succ_t[last]), _F0) + supply[a]
-                supply[a] = _F0
+                mass[(i, last)] = mass.get((i, last), 0) + supply[i]
+                supply[i] = 0
                 break
-            b = succ_t[j]
-            take = min(supply[a], demand[b])
+            take = min(supply[i], demand[j])
             if take > 0:
-                mass[(a, b)] = mass.get((a, b), _F0) + take
-                supply[a] -= take
-                demand[b] -= take
-            if demand[b] == 0 and supply[a] > 0:
+                mass[(i, j)] = mass.get((i, j), 0) + take
+                supply[i] -= take
+                demand[j] -= take
+            if demand[j] == 0 and supply[i] > 0:
                 j += 1
-            elif supply[a] == 0:
+            elif supply[i] == 0:
                 break
     weights = np.zeros((len(succ_s), len(succ_t)))
-    for i, a in enumerate(succ_s):
-        cap = Fraction(float(P[s, a]))
-        for k, b in enumerate(succ_t):
-            f = mass.get((a, b), _F0)
-            if f > 0:
-                weights[i, k] = float(f / cap)
+    for (i, j), x in mass.items():
+        weights[i, j] = x / (cap_s[i] << (f.exp - exp_s))
     return Coupling(
         source=s,
         target=t,
         succ_source=tuple(succ_s),
         succ_target=tuple(succ_t),
         weights=weights,
-        related_mass=float(value),
+        related_mass=_related_mass(f),
     )
 
 
@@ -332,20 +398,53 @@ def extract_coupling(
 # --------------------------------------------------------------------------
 
 
-def _initial_pairs(M: Ctmc, delta: float) -> set[tuple[int, int]]:
+def _initial_related(M: Ctmc, delta: float) -> list[set[int]]:
+    """Per-state sets of the states with the same labels and rewards and
+    an exit rate within a factor e^delta."""
     lnE = np.log(M.E)
-    labels = M.label_sets
-    rel: set[tuple[int, int]] = set()
-    for s in range(M.n):
-        for t in range(M.n):
-            if labels[s] != labels[t]:
-                continue
-            if abs(lnE[s] - lnE[t]) > delta + DELTA_SLACK:
-                continue
-            if M.rewards is not None and M.rewards[s] != M.rewards[t]:
-                continue
-            rel.add((s, t))
-    return rel
+    codes = {ls: k for k, ls in enumerate(set(M.label_sets))}
+    label = np.array([codes[ls] for ls in M.label_sets])
+    # a NaN rate gap is not > delta, so it separates no pair (as in is_bisimulation)
+    ok = (label[:, None] == label[None, :]) & ~(np.abs(lnE[:, None] - lnE[None, :]) > delta + DELTA_SLACK)
+    if M.rewards is not None:
+        ok &= M.rewards[:, None] == M.rewards[None, :]
+    return [set(np.flatnonzero(row).tolist()) for row in ok]
+
+
+def _sweeps(M: Ctmc, related: list[set[int]], eps: float, eta: float):
+    """Shrink ``related`` (per-state related sets) in place to the greatest
+    fixpoint, one sweep at a time, and yield each sweep's checked and
+    dropped pairs ``s < t``.
+
+    A sweep checks its pairs against the relation as of its start and
+    then drops the ones failing in either orientation.  The first sweep
+    checks every pair; a later one only the pairs ``(s, t)`` with a pair
+    ``(a, b)`` dropped by the sweep before, ``a`` a successor of ``s`` and
+    ``b`` one of ``t``: no other pair's network has changed.
+    """
+    rows = [_row(M, s) for s in range(M.n)]
+    threshold = _threshold(eps, eta)
+    indptr, indices = M.pred
+    pred = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(M.n)]
+
+    def passes(s: int, t: int) -> bool:
+        f = _max_flow(rows[s], rows[t], related, threshold, stop=True)
+        return f.value >= f.target
+
+    todo = [(s, t) for s in range(M.n) for t in sorted(related[s]) if s < t]
+    while todo:
+        drop = [(s, t) for s, t in todo if not (passes(s, t) and passes(t, s))]
+        for s, t in drop:
+            related[s].discard(t)
+            related[t].discard(s)
+        yield todo, drop
+        # hit[a]: the states with a successor b such that (a, b) was dropped
+        hit: dict[int, set[int]] = {}
+        for a, b in drop:
+            hit.setdefault(a, set()).update(pred[b])
+        todo = sorted(
+            {(min(s, t), max(s, t)) for a, ts in hit.items() for s in pred[a] for t in ts & related[s] if s != t}
+        )
 
 
 def epsilon_delta_bisim(M: Ctmc, eps: float, delta: float, eta: float = FLOW_ETA) -> PairRelation:
@@ -354,25 +453,11 @@ def epsilon_delta_bisim(M: Ctmc, eps: float, delta: float, eta: float = FLOW_ETA
     stable.  Deletions are batched per sweep: every check in a sweep runs
     against the relation as of the sweep's start.
     """
-    rel = _initial_pairs(M, delta)
-    threshold = _F1 - Fraction(float(eps)) - Fraction(float(eta))
-    while True:
-        frozen = frozenset(rel)
-        drop = [
-            (s, t)
-            for (s, t) in sorted(frozen)
-            if s < t
-            and (
-                _pair_flow(M.P, frozen, s, t)[0] < threshold
-                or _pair_flow(M.P, frozen, t, s)[0] < threshold
-            )
-        ]
-        if not drop:
-            break
-        for s, t in drop:
-            rel.discard((s, t))
-            rel.discard((t, s))
-    return PairRelation(n=M.n, pairs=frozenset(rel), eps=eps, delta=delta)
+    related = _initial_related(M, delta)
+    for _ in _sweeps(M, related, eps, eta):
+        pass
+    pairs = frozenset((s, t) for s in range(M.n) for t in related[s])
+    return PairRelation(n=M.n, pairs=pairs, eps=eps, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -393,7 +478,8 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
         raise ValueError("relation size does not match the chain")
     lnE = np.log(M.E)
     labels = M.label_sets
-    threshold = _F1 - Fraction(float(R.eps)) - Fraction(float(eta))
+    rows = [_row(M, s) for s in range(M.n)]
+    threshold = _threshold(R.eps, eta)
     for s, t in sorted(R.pairs):
         if s >= t:
             continue
@@ -403,13 +489,13 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
         if gap > R.delta + DELTA_SLACK:
             return RelationCheck(False, (s, t), "delta", f"|ln E(s) - ln E(t)| = {gap:.12g}")
         for a, b in ((s, t), (t, s)):
-            value = _pair_flow(M.P, R.pairs, a, b)[0]
-            if value < threshold:
+            f = _max_flow(rows[a], rows[b], R.adjacency, threshold, stop=True)
+            if f.value < f.target:
                 return RelationCheck(
                     False,
                     (a, b),
                     "eps",
-                    f"max related mass {float(value):.12g} < 1 - eps",
+                    f"max related mass {_related_mass(f):.12g} < 1 - eps",
                 )
     return RelationCheck(True)
 

@@ -271,20 +271,45 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _option(kind: type, ok, requirement: str):
+    """argparse type: ``kind(text)`` if ``ok`` holds for it.  argparse puts
+    the option's name in front of the error message."""
+
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            pass
+        else:
+            if ok(x):
+                return x
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+
+    return parse
+
+
 def _at_least(low: float, strict: bool = False):
-    """argparse type: a float >= low (> low when ``strict``); NaN fails both."""
+    """argparse type: a finite float >= low (> low when ``strict``)."""
+    return _option(
+        float,
+        lambda x: math.isfinite(x) and (x > low if strict else x >= low),
+        f"a finite number {'>' if strict else '>='} {low:g}",
+    )
 
-    def number(text: str) -> float:
-        x = float(text)
-        if not (x > low if strict else x >= low):
-            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low:g}, got {text!r}")
-        return x
 
-    return number
+def _between(low: float, high: float):
+    """argparse type: a float in the open interval (low, high)."""
+    return _option(float, lambda x: low < x < high, f"a number in ({low:g}, {high:g})")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    return _option(int, lambda x: x >= low, f"an integer >= {low}")
 
 
 _NONNEGATIVE = _at_least(0.0)
 _POSITIVE = _at_least(0.0, strict=True)
+_BUDGET = _option(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,18 +340,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add_tol(sp)
     sp.add_argument("--eps", type=_NONNEGATIVE, default=0.0)
     sp.add_argument("--delta", type=_NONNEGATIVE, required=True)
-    sp.add_argument("--tmax", type=float, default=30.0)
-    sp.add_argument("--steps", type=int, default=60)
+    sp.add_argument("--tmax", type=_NONNEGATIVE, default=30.0)
+    sp.add_argument("--steps", type=_int_at_least(1), default=60)
     sp.add_argument("--which", default="exact,erlangN,spectral",
                     help=f"comma-separated columns from {_BOUND_NAMES}")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("pareto", help="sample the (eps, delta) frontier for a bound budget")
-    sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=33)
+    sp.add_argument("--theta", type=_BUDGET, required=True, help="bound budget, in [0, 1)")
+    sp.add_argument("--q", type=_POSITIVE, required=True)
+    sp.add_argument("--t", type=_POSITIVE, required=True)
+    sp.add_argument("--samples", type=_int_at_least(2), default=33)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_pareto)
@@ -334,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reward-reach", help="reward-bounded reachability probability")
     add_model(sp)
     add_tol(sp)
-    sp.add_argument("--bound", type=float, required=True, help="reward budget r")
+    sp.add_argument("--bound", type=_NONNEGATIVE, required=True, help="reward budget r")
     sp.add_argument("--state", default=None, help="start state id (default: initial)")
     sp.add_argument("--eps", type=_NONNEGATIVE, default=None)
     sp.add_argument("--delta", type=_NONNEGATIVE, default=None)
@@ -356,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pn", help="hitting-step formula vs. matrix-power oracle")
     add_model(sp)
     add_tol(sp)
-    sp.add_argument("--steps", type=int, default=30)
+    sp.add_argument("--steps", type=_int_at_least(0), default=30)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_pn)
 
@@ -364,8 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_model(sp)
     sp.add_argument("--t", type=_NONNEGATIVE, required=True)
     sp.add_argument("--paths", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--confidence", type=float, default=0.95)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--confidence", type=_between(0.0, 1.0), default=0.95)
     sp.set_defaults(fn=cmd_simulate)
 
     return p

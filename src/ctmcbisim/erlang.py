@@ -90,8 +90,8 @@ class ParetoRegion:
     def __post_init__(self):
         if not (0.0 <= self.theta < 1.0):
             raise ValueError("theta must lie in [0, 1)")
-        if self.q * self.t <= 0.0:
-            raise ValueError("q*t must be positive")
+        if not 0.0 < self.q * self.t < math.inf:
+            raise ValueError("q*t must be positive and finite")
 
     @property
     def budget(self) -> float:

@@ -138,7 +138,9 @@ def make_ctmc(
 
     ``states`` holds ``(id, labels, exit_rate)`` or
     ``(id, labels, exit_rate, reward)`` tuples; ``transitions`` holds
-    ``(from_id, to_id, prob)``.  Omitted transitions are zero.
+    ``(from_id, to_id, prob)``.  Omitted transitions are zero.  The chain
+    gets the checks of :func:`load_model`: goal and fail states are not
+    checked, everything else is.
     """
     ids = tuple(s[0] for s in states)
     if len(set(ids)) != len(ids):
@@ -154,7 +156,7 @@ def make_ctmc(
     P = np.zeros((n, n))
     for frm, to, p in transitions:
         P[idx[frm], idx[to]] += float(p)
-    return Ctmc(
+    M = Ctmc(
         ids=ids,
         labels=labels,
         P=P,
@@ -164,6 +166,8 @@ def make_ctmc(
         fail=tuple(idx[f] for f in fail),
         rewards=rewards,
     )
+    validate(replace(M, goal=(), fail=()))
+    return M
 
 
 # --------------------------------------------------------------------------

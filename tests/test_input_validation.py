@@ -262,6 +262,31 @@ def test_cli_fuzz_keeps_the_exit_code_contract(doc):
 
 
 
+# odd option values: NaN, infinities, negatives, zero, overflow, junk
+_ODD_OPTIONS = st.sampled_from(("nan", "inf", "-inf", "-3", "-0.5", "0", "0.5", "1", "2", "30", "1e400", "abc"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=model_documents(), values=st.lists(_ODD_OPTIONS, min_size=7, max_size=7))
+def test_cli_fuzz_of_the_other_subcommands_keeps_the_exit_code_contract(doc, values):
+    theta, q, t, samples, steps, tol, delta = values
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (
+            ["pareto", "--theta", theta, "--q", q, "--t", t, "--samples", samples],
+            ["pn", "-m", path, "--steps", steps, "--tol", tol],
+            ["spectral-report", "-m", path, "--tol", tol],
+            ["pair-uniformize", "-m", path, "--model-b", path, "--delta", delta],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)  # an escaping exception fails the test
+            assert rc in (0, 1, 2, 3), (argv, rc)
+            assert "Traceback" not in err.getvalue()
+
+
 # ------------------------------------------------------------ relation files
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ctmcbisim import (
 )
 from ctmcbisim.model import dumps_model, model_from_dict, model_to_dict
 from ctmcbisim.errors import (
+    CtmcError,
     EmptyGoalSet,
     NoGoalState,
     NonAbsorbingGoal,
@@ -66,6 +68,33 @@ def test_validate_rejects_nonabsorbing_goal():
     M = make_ctmc(
         [("a", (), 1.0), ("g", ("g",), 1.0)],
         [("a", "g", 1.0), ("g", "a", 0.5), ("g", "g", 0.5)],
+        initial="a",
+        goal=("g",),
+    )
+    with pytest.raises(NonAbsorbingGoal):
+        validate(M)
+
+
+@pytest.mark.parametrize(
+    "states, transitions, error",
+    [
+        ([("a", (), math.nan), ("g", ("g",), 1.0)], [("a", "g", 1.0)], "E[0]=nan is not finite"),
+        ([("a", (), 1.0), ("g", ("g",), 1.0)], [("a", "g", 1.5), ("a", "a", -0.5)], "outside [0,1]"),
+        ([("a", (), 1.0), ("g", ("g",), 1.0)], [("a", "g", 0.75)], "sums to 0.75"),
+        ([("a", (), 0.0), ("g", ("g",), 1.0)], [("a", "g", 1.0)], "non-positive exit rate"),
+        ([("a", (), 1.0, math.inf), ("g", ("g",), 1.0)], [("a", "g", 1.0)], "rewards[0]=inf"),
+    ],
+)
+def test_make_ctmc_checks_what_load_model_checks(states, transitions, error):
+    with pytest.raises(CtmcError, match=re.escape(error)):
+        make_ctmc(states, [*transitions, ("g", "g", 1.0)], initial="a", goal=("g",))
+
+
+def test_make_ctmc_leaves_the_goal_to_normalize_goal():
+    # a goal that is neither absorbing nor uniquely labelled, as at load
+    M = make_ctmc(
+        [("a", ("x",), 1.0), ("g", ("x",), 1.0)],
+        [("a", "g", 1.0), ("g", "a", 1.0)],
         initial="a",
         goal=("g",),
     )

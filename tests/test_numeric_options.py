@@ -65,6 +65,39 @@ def test_bad_numeric_option_exits_2_before_any_work(capsys, argv, option):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["pareto", "--theta", "0.1", "--q", "1", "--t", "nan"], "--t"),
+        (["pareto", "--theta", "0.1", "--q", "nan", "--t", "1"], "--q"),
+        (["pareto", "--theta", "nan", "--q", "1", "--t", "1"], "--theta"),
+        (["pareto", "--theta", "1", "--q", "1", "--t", "1"], "--theta"),
+        (["pareto", "--theta", "0.1", "--q", "1", "--t", "1", "--samples", "-2"], "--samples"),
+        (["pn", "-m", "/no/such/model.json", "--steps", "-3"], "--steps"),
+        (["simulate", "-m", "/no/such/model.json", "--t", "1", "--confidence", "2"], "--confidence"),
+        (["simulate", "-m", "/no/such/model.json", "--t", "1", "--confidence", "0"], "--confidence"),
+        (["simulate", "-m", "/no/such/model.json", "--t", "1", "--seed", "-1"], "--seed"),
+        (["bounds", "-m", "/no/such/model.json", "--delta", "0.1", "--tmax", "nan"], "--tmax"),
+        (["bounds", "-m", "/no/such/model.json", "--delta", "0.1", "--steps", "0"], "--steps"),
+        (["check-bisim", "-m", "/no/such/model.json", "--eps", "inf"], "--eps"),
+        (["reward-reach", "-m", "/no/such/model.json", "--bound", "nan"], "--bound"),
+    ],
+)
+def test_bad_option_exits_2_naming_it(capsys, argv, option):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert f"argument {option}: must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q, t", [("1", "nan"), ("1e200", "1e200")])
+def test_pareto_prints_no_nan_rows(capsys, q, t):
+    # q * t overflowing to inf made every bound NaN as well
+    rc, out, _ = _run(capsys, ["pareto", "--theta", "0.1", "--q", q, "--t", t])
+    assert (rc, out) == (2, "")
+
+
 @pytest.mark.parametrize("cmd", ["check-bisim", "pair-uniformize", "simulate"])
 def test_tol_only_on_the_subcommands_that_read_it(capsys, branch_path, cmd):
     extra = {"check-bisim": [], "pair-uniformize": ["--model-b", branch_path, "--delta", "0.1"],
