@@ -3,13 +3,18 @@
 ``erlang_diff(n, c, t)`` is the exact reachability gap between a
 length-n rate-1 chain and its c-fold acceleration; it equals the
 difference of two Poisson CDFs, which is how it is evaluated (no bare
-factorials).  On top of it: the uniformization bound, the Pareto
+factorials).  ``gap_curve`` sums such gaps against step weights over a
+time grid: the exact series here and the acyclic, diagonal and Jordan
+routes in :mod:`spectral` only build their weights.  ``rate_factor`` is
+the one gate a caller's delta passes: it checks delta and returns
+``e^delta``.  On top of them: the uniformization bound, the Pareto
 tolerance region, the Erlang-N bound, the exact p_n-weighted series,
 and the expected-steps (Markov-inequality) bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import NonUniformRates, NotApplicable
 from .model import Ctmc
-from .transient import MAX_TERMS, expected_hit_steps, hit_exact_steps, log_factorials, reach_prob
+from .transient import MAX_TERMS, expected_hit_steps, hit_exact_steps, log_factorials
 
 
 def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
@@ -47,6 +52,35 @@ def erlang_diff_prefix(c: float, t: float, n_max: int) -> np.ndarray:
     return out
 
 
+def gap_curve(c: float, rate: float, t_grid, segments, tail: float = 0.0) -> np.ndarray:
+    """``sum_n w_n * erlang_diff(n, c, rate*t) + tail`` at every grid time.
+
+    ``segments`` lists ``(scale, w)`` pairs whose weight vectors cover
+    n = 1, 2, ... in order.  Each adds ``scale * (w @ gaps)`` over its
+    stretch of n, left to right, and ``tail`` is added last.
+    """
+    cuts = list(itertools.accumulate((len(w) for _, w in segments), initial=1))
+    out = np.empty(len(t_grid))
+    for i, t in enumerate(t_grid):
+        diffs = erlang_diff_prefix(c, rate * float(t), cuts[-1] - 1)
+        parts = (scale * float(w @ diffs[lo:hi]) for (scale, w), lo, hi in zip(segments, cuts, cuts[1:]))
+        out[i] = sum(parts) + tail
+    return out
+
+
+def rate_factor(delta: float) -> float:
+    """``e^delta`` for a nonnegative delta whose e^delta is finite."""
+    if not delta >= 0.0:
+        raise ValueError("delta must be nonnegative")
+    try:
+        c = math.exp(delta)
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:
+        raise ValueError(f"delta={delta!r} is too large: e^delta overflows")
+    return c
+
+
 def erlang_diff(n: int, c: float, t: float) -> float:
     """Exact gap for the length-n chain: sum_{k<n} t^k/k! (e^-t - c^k e^-ct)."""
     if n < 0:
@@ -71,7 +105,7 @@ def uniformization_bound(eps: float, delta: float, q: float, t: float) -> float:
     """Time-uniform bound 1 - e^{-q t (e^delta (1+eps) - 1)}."""
     if eps < 0.0 or delta < 0.0 or q < 0.0 or t < 0.0:
         raise ValueError("eps, delta, q, t must all be nonnegative")
-    return 1.0 - math.exp(-q * t * (math.exp(delta) * (1.0 + eps) - 1.0))
+    return 1.0 - math.exp(-q * t * (rate_factor(delta) * (1.0 + eps) - 1.0))
 
 
 @dataclass(frozen=True)
@@ -99,14 +133,14 @@ class ParetoRegion:
         return (qt - math.log(1.0 - self.theta)) / qt
 
     def eps_max(self, delta: float) -> float:
-        return max(0.0, self.budget / math.exp(delta) - 1.0)
+        return max(0.0, self.budget / rate_factor(delta) - 1.0)
 
     def delta_max(self, eps: float) -> float:
         ratio = self.budget / (1.0 + eps)
         return max(0.0, math.log(ratio)) if ratio > 0.0 else 0.0
 
     def contains(self, eps: float, delta: float, slack: float = 1e-12) -> bool:
-        return math.exp(delta) * (1.0 + eps) <= self.budget + slack
+        return rate_factor(delta) * (1.0 + eps) <= self.budget + slack
 
     def frontier(self, samples: int) -> list[tuple[float, float]]:
         """(eps, delta) pairs along the boundary, delta sweeping 0..delta_max(0)."""
@@ -124,7 +158,12 @@ def pareto_region(theta: float, q: float, t: float) -> ParetoRegion:
 def erlang_N(t: float, delta: float) -> int:
     if delta <= 0.0:
         raise NotApplicable("the Erlang-N bound needs delta > 0")
-    return int(math.ceil((math.exp(delta) - 1.0) * t / delta))
+    length = (rate_factor(delta) - 1.0) * t / delta
+    if not length <= MAX_TERMS:
+        raise ValueError(
+            f"the Erlang-N chain for t={t!r}, delta={delta!r} needs more than MAX_TERMS={MAX_TERMS} states"
+        )
+    return int(math.ceil(length))
 
 
 def erlang_N_bound(t: float, delta: float) -> float:
@@ -132,11 +171,10 @@ def erlang_N_bound(t: float, delta: float) -> float:
 
     At delta = 0 the gap is identically zero, and 0 is returned.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    c = rate_factor(delta)
     if delta == 0.0 or t == 0.0:
         return 0.0
-    return erlang_diff(erlang_N(t, delta), math.exp(delta), t)
+    return erlang_diff(erlang_N(t, delta), c, t)
 
 
 def _uniform_rate(M: Ctmc) -> float:
@@ -156,27 +194,19 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     """
     r = _uniform_rate(M)
     M.goal_state()
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    c = rate_factor(delta)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ts = [float(t) for t in t_grid]
-    out = np.zeros(len(ts))
     if delta == 0.0 or not any(ts):
-        return out
-    c = math.exp(delta)
-    total_reach = reach_prob(M)
+        return np.zeros(len(ts))
     K = 64
     while True:
         hits = hit_exact_steps(M, K)
-        remaining = total_reach - float(hits.probs.sum())
-        if remaining < tol or K > MAX_TERMS:
+        if hits.reach - float(hits.probs.sum()) < tol or K > MAX_TERMS:
             break
         K *= 2
-    for i, t in enumerate(ts):
-        if t != 0.0:
-            out[i] = float(np.dot(hits.probs, erlang_diff_prefix(c, r * t, K)[1:]))
-    return out
+    return gap_curve(c, r, ts, [(1.0, hits.probs)])
 
 
 def exact_diff_series(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
@@ -197,8 +227,7 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
     """
     r = _uniform_rate(M)
     M.goal_state()
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    c = rate_factor(delta)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ex = expected_hit_steps(M)
@@ -207,7 +236,6 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
     out = np.zeros(len(t_grid))
     if delta == 0.0:
         return out
-    c = math.exp(delta)
     for i, t in enumerate(t_grid):
         t = float(t)
         if t == 0.0:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .model import Ctmc, make_ctmc
 
 

@@ -12,13 +12,13 @@ bracketed by the gap of the transformed one.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bisim import PairRelation, is_bisimulation
+from .erlang import rate_factor
 from .errors import CtmcError, NotTransitive, NotZeroDeltaBisim, OrderingAssumptionViolated
 from .model import Ctmc, direct_sum, normalize_goal, prune_unreachable, uniformize
 from .transient import timed_reach_curve
@@ -64,8 +64,7 @@ def uniformize_pair(M: Ctmc, N: Ctmc, R: PairRelation, delta: float) -> PairUnif
     not hold on a spot-check grid, an :class:`OrderingAssumptionViolated`
     warning is emitted and the result is still returned.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    ed = rate_factor(delta)
     nm, nn = M.n, N.n
     if R.n != nm + nn:
         raise ValueError(f"relation covers {R.n} states, the pair has {nm + nn}")
@@ -80,7 +79,6 @@ def uniformize_pair(M: Ctmc, N: Ctmc, R: PairRelation, delta: float) -> PairUnif
             f"pair {check.pair} fails the {check.condition} condition: {check.detail}"
         )
 
-    ed = math.exp(delta)
     E_m = np.array(M.E, dtype=float)
     E_n = np.array(N.E, dtype=float)
     for block in R0.classes().blocks:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bisim import PairRelation, split_construction
-from .erlang import _uniform_rate, erlang_diff_prefix, erlang_N_bound, uniformization_bound
+from .erlang import _uniform_rate, erlang_N_bound, gap_curve, rate_factor, uniformization_bound
 from .errors import (
     AcyclicChain,
     DecompositionFallbackWarning,
@@ -394,30 +394,25 @@ def is_embedded_acyclic(M: Ctmc) -> bool:
     return graph.find_cycle(M.succ, ~_absorbing_states(M.P)) is None
 
 
-def _acyclic_values(Mn: Ctmc, rate: float, delta: float, t_grid) -> np.ndarray:
-    c = math.exp(delta)
+def _acyclic_values(Mn: Ctmc, rate: float, c: float, t_grid) -> np.ndarray:
     L = int(Mn.n - np.sum(_absorbing_states(Mn.P)))
     if L == 0:
         return np.zeros(len(t_grid))
-    hs = hit_exact_steps(Mn, L)
-    return np.array(
-        [float(np.dot(hs.probs, erlang_diff_prefix(c, rate * float(t), L)[1:])) for t in t_grid]
-    )
+    return gap_curve(c, rate, t_grid, [(1.0, hit_exact_steps(Mn, L).probs)])
 
 
 def acyclic_exact(M: Ctmc, delta: float, t: float) -> float:
     """Exact reachability gap against the ``e^delta``-accelerated copy for a
     chain whose transient jump graph is a DAG: the hit-step distribution has
     finite support, so the series is a finite sum with no truncation."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    c = rate_factor(delta)
     Mn, rate = _prepare(M)
     if not is_embedded_acyclic(Mn):
         raise NotAcyclic("the transient jump graph has a cycle")
-    return float(_acyclic_values(Mn, rate, delta, [t])[0])
+    return float(_acyclic_values(Mn, rate, c, [t])[0])
 
 
-def _diag_bound_from(sd: SpectralData, rate: float, delta: float, t_grid, tol: float) -> np.ndarray:
+def _diag_bound_from(sd: SpectralData, rate: float, c: float, t_grid, tol: float) -> np.ndarray:
     n, a_p = sd.n, sd.a_p
     trans = n - a_p
     if trans == 0:
@@ -428,21 +423,15 @@ def _diag_bound_from(sd: SpectralData, rate: float, delta: float, t_grid, tol: f
     g = n - 1
     coefs = sd.S[0, a_p:] * sd.S_inv[a_p:, g] * (sd.eigenvalues[a_p:] - 1.0)
     C = float(np.max(np.abs(coefs)))
-    c = math.exp(delta)
 
     K = 64
     while trans * C * lam**K / (1.0 - lam) >= tol and K < MAX_TERMS:
         K *= 2
     tail = trans * C * lam**K / (1.0 - lam)
-    pows = lam ** np.arange(K)
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        diffs = erlang_diff_prefix(c, rate * float(t), K)
-        out[i] = min(1.0, trans * C * float(pows @ diffs[1:]) + tail)
-    return out
+    return np.fmin(1.0, gap_curve(c, rate, t_grid, [(trans * C, lam ** np.arange(K))], tail))
 
 
-def _jordan_bound_from(sd: SpectralData, rate: float, delta: float, t_grid, tol: float) -> np.ndarray:
+def _jordan_bound_from(sd: SpectralData, rate: float, c: float, t_grid, tol: float) -> np.ndarray:
     regular = [(mu, size) for mu, size in sd.blocks if mu != 0.0 and mu != 1.0]
     if not regular:
         raise AcyclicChain("every transient eigenvalue vanishes; the gap is a finite sum")
@@ -481,58 +470,48 @@ def _jordan_bound_from(sd: SpectralData, rate: float, delta: float, t_grid, tol:
         K *= 2
     ks = np.arange(R + 1, K + 1, dtype=float)
     envs = np.exp((r_reg - 1) * np.log(ks) + (ks - r_reg) * log_lam)
-
-    c = math.exp(delta)
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        diffs = erlang_diff_prefix(c, rate * float(t), K)
-        value = float(head @ diffs[1 : R + 1]) + C * float(envs @ diffs[R + 1 :]) + tail
-        out[i] = min(1.0, value)
-    return out
+    return np.fmin(1.0, gap_curve(c, rate, t_grid, [(1.0, head), (C, envs)], tail))
 
 
 def diag_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
     """Gap bound from the diagonal factorization: per grid time,
     ``(n - a_P) C sum_k lam^{k-1} erlang_diff(k, e^delta, r t)`` plus a
     certified geometric tail (added, so the result stays an upper bound)."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    c = rate_factor(delta)
     Mn, rate = _prepare(M)
     sd = decompose(Mn.P)
     if sd.kind != "diag":
         raise WrongKind("the jump matrix is not diagonalizable")
-    return _diag_bound_from(sd, rate, delta, t_grid, tol)
+    return _diag_bound_from(sd, rate, c, t_grid, tol)
 
 
 def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
     """Gap bound from the block factorization: exact step probabilities up
     to the largest block size, then a ``C k^{r-1} lam^{k-r}`` envelope with
     a certified ratio-test tail (added)."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    c = rate_factor(delta)
     Mn, rate = _prepare(M)
     sd = as_jordan(decompose(Mn.P))
-    return _jordan_bound_from(sd, rate, delta, t_grid, tol)
+    return _jordan_bound_from(sd, rate, c, t_grid, tol)
 
 
 _SPECTRAL_FAILURES = (ModulusOneNotOne, DecompositionUnstable, SpectralGapZero, AcyclicChain)
 
 
-def _spectral_values(Mn: Ctmc, delta: float, t_grid, tol: float) -> np.ndarray:
+def _spectral_values(Mn: Ctmc, c: float, t_grid, tol: float) -> np.ndarray:
     if is_embedded_acyclic(Mn):
-        return _acyclic_values(Mn, _uniform_rate(Mn), delta, t_grid)
+        return _acyclic_values(Mn, _uniform_rate(Mn), c, t_grid)
     sd = decompose(Mn.P, tol=tol)
     bound_from = _diag_bound_from if sd.kind == "diag" else _jordan_bound_from
-    return bound_from(sd, _uniform_rate(Mn), delta, t_grid, tol)
+    return bound_from(sd, _uniform_rate(Mn), c, t_grid, tol)
 
 
 def spectral_curve(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
     """The spectral route over the whole grid: the exact finite sum for
     acyclic chains, the diagonal bound when P diagonalizes, and the block
     bound otherwise.  P is decomposed (within ``tol``) at most once."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    return _spectral_values(normalize_goal(prune_unreachable(M)), delta, t_grid, tol)
+    c = rate_factor(delta)
+    return _spectral_values(normalize_goal(prune_unreachable(M)), c, t_grid, tol)
 
 
 def combined_bound(
@@ -551,12 +530,11 @@ def combined_bound(
     raising what :func:`spectral_curve` raised), to avoid a second
     decomposition.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    c = rate_factor(delta)
     Mn, rate = _prepare(M)
     base = np.array([erlang_N_bound(rate * float(t), delta) for t in t_grid])
     try:
-        spec = _spectral_values(Mn, delta, t_grid, tol) if spectral is None else spectral()
+        spec = _spectral_values(Mn, c, t_grid, tol) if spectral is None else spectral()
     except _SPECTRAL_FAILURES as exc:
         warnings.warn(
             f"spectral bound unavailable ({exc}); falling back to the"
