@@ -25,6 +25,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import graph
 from .errors import NotBisimilar, PairNotRelated
 from .model import Ctmc, _expect, _number, direct_sum
 
@@ -91,32 +92,21 @@ class PairRelation:
         adj = self.adjacency
         return all(adj[t] <= adj[s] for s in range(self.n) for t in adj[s])
 
+    def _components(self) -> list[list[int]]:
+        """Connected components of the relation's graph, by smallest state."""
+        related = np.zeros((self.n, self.n), dtype=bool)
+        related[tuple(np.array(list(self.pairs), dtype=np.intp).reshape(-1, 2).T)] = True
+        return graph.components(graph.csr(related))
+
     def transitive_closure(self) -> "PairRelation":
-        related = [set(r) for r in self.adjacency]
-        changed = True
-        while changed:
-            changed = False
-            for s in range(self.n):
-                grown = set().union(*(related[t] for t in related[s]))
-                if not grown <= related[s]:
-                    related[s] |= grown
-                    changed = True
-        pairs = frozenset((s, t) for s in range(self.n) for t in related[s])
+        pairs = frozenset((s, t) for block in self._components() for s in block for t in block)
         return PairRelation(n=self.n, pairs=pairs, eps=self.eps, delta=self.delta)
 
     def classes(self) -> "Partition":
         """Equivalence classes; the relation must be transitive."""
         if not self.is_transitive():
             raise ValueError("relation is not transitive; no well-defined classes")
-        seen: set[int] = set()
-        blocks = []
-        for s in range(self.n):
-            if s in seen:
-                continue
-            cls_ = self.adjacency[s]
-            seen |= cls_
-            blocks.append(cls_)
-        return Partition(blocks=tuple(blocks))
+        return Partition(blocks=tuple(frozenset(block) for block in self._components()))
 
 
 @dataclass(frozen=True)

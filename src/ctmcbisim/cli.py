@@ -38,15 +38,7 @@ from .spectral import (
 )
 from .transient import hit_exact_steps, simulate_paths
 
-_VERDICT_ERRORS = (err.NotBisimilar, err.PairNotRelated, err.NotTransitive, err.NotZeroDeltaBisim)
-_NUMERICAL_ERRORS = (
-    err.ModulusOneNotOne,
-    err.DecompositionUnstable,
-    err.SpectralGapZero,
-    err.AcyclicChain,
-    err.JumpBudgetExceeded,
-    np.linalg.LinAlgError,
-)
+_NUMERICAL_ERRORS = (err.NumericalFailure, np.linalg.LinAlgError)
 
 _BOUND_NAMES = ("exact", "unif", "erlangN", "markov", "spectral", "combined")
 
@@ -404,13 +396,13 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _VERDICT_ERRORS as e:
+    except err.NegativeVerdict as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    except (err.CtmcError, OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+    except (err.CtmcError, OSError, KeyError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -41,10 +41,6 @@ class BoundCurve:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-
     def to_json_dict(self) -> dict:
         d: dict = {"t": [float(t) for t in self.times]}
         for name, col in self.columns.items():

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonUniformRates, NotApplicable
+from .errors import NonUniformRates, NotApplicable, TruncationLimit
 from .model import Ctmc
 from .transient import MAX_TERMS, expected_hit_steps, hit_exact_steps, log_factorials
 
@@ -186,7 +186,8 @@ def _uniform_rate(M: Ctmc) -> float:
 def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     """sum_n p_n * erlang_diff(n, e^delta, t') at every grid time, truncated
     once the hit mass not yet summed drops below tol (each remaining term is
-    <= that mass).
+    <= that mass).  Raises :class:`TruncationLimit` when that mass is still
+    >= tol after more than ``MAX_TERMS`` steps.
 
     The hit-step distribution does not depend on t, so it is computed once
     for the whole grid.  General uniform rate r is handled by evaluating at
@@ -203,8 +204,13 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     K = 64
     while True:
         hits = hit_exact_steps(M, K)
-        if hits.reach - float(hits.probs.sum()) < tol or K > MAX_TERMS:
+        remaining = hits.reach - float(hits.probs.sum())
+        if remaining < tol:
             break
+        if K > MAX_TERMS:
+            raise TruncationLimit(
+                f"hit mass {remaining:g} is still >= tol={tol!r} after {K} steps (MAX_TERMS={MAX_TERMS})"
+            )
         K *= 2
     return gap_curve(c, r, ts, [(1.0, hits.probs)])
 

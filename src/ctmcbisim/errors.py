@@ -1,7 +1,9 @@
 """Error taxonomy shared by all modules.
 
 Every rejected input raises a subclass of CtmcError carrying enough
-context (state index, offending value) to point at the problem.
+context (state index, offending value) to point at the problem.  The
+class fixes the CLI exit code: a NegativeVerdict exits 1, a
+NumericalFailure 3 and every other CtmcError 2.
 Warnings (non-fatal degradations) live at the bottom.
 """
 
@@ -10,6 +12,14 @@ from __future__ import annotations
 
 class CtmcError(Exception):
     """Base class for all model/analysis errors raised by this package."""
+
+
+class NegativeVerdict(CtmcError):
+    """A check answered no: the states are not related."""
+
+
+class NumericalFailure(CtmcError):
+    """A numerical method could not deliver a verified result."""
 
 
 # ---------------------------------------------------------------- model
@@ -62,18 +72,18 @@ class NonUniformRates(CtmcError):
 # ---------------------------------------------------------------- bisim
 
 
-class PairNotRelated(CtmcError):
+class PairNotRelated(NegativeVerdict):
     pass
 
 
-class NotBisimilar(CtmcError):
+class NotBisimilar(NegativeVerdict):
     pass
 
 
 # ---------------------------------------------------------------- transient
 
 
-class JumpBudgetExceeded(CtmcError):
+class JumpBudgetExceeded(NumericalFailure):
     """Some simulated path was still running after the jump budget
     (a fast or zero-cost cycle, or a horizon too long for the rates)."""
 
@@ -90,6 +100,11 @@ class NotApplicable(CtmcError):
     expected-hit-count bound on a chain that may never reach the goal)."""
 
 
+class TruncationLimit(NumericalFailure):
+    """A series still held more than its tolerance when its length
+    reached the term cap."""
+
+
 # ---------------------------------------------------------------- spectral
 
 
@@ -97,23 +112,23 @@ class WrongKind(CtmcError):
     pass
 
 
-class ModulusOneNotOne(CtmcError):
+class ModulusOneNotOne(NumericalFailure):
     """An eigenvalue of modulus ~1 that is not ~1, or a multiplicity mismatch
     with the absorbing-state count: absorption is not almost sure."""
 
 
-class DecompositionUnstable(CtmcError):
+class DecompositionUnstable(NumericalFailure):
     def __init__(self, residual: float, tol: float):
         self.residual = residual
         self.tol = tol
         super().__init__(f"reconstruction residual {residual:g} exceeds tolerance {tol:g}")
 
 
-class SpectralGapZero(CtmcError):
+class SpectralGapZero(NumericalFailure):
     pass
 
 
-class AcyclicChain(CtmcError):
+class AcyclicChain(NumericalFailure):
     """All transient eigenvalues vanish; use the exact finite-sum route."""
 
 
@@ -145,11 +160,11 @@ class ZeroReward(CtmcError):
 # ---------------------------------------------------------------- pair uniformization
 
 
-class NotTransitive(CtmcError):
+class NotTransitive(NegativeVerdict):
     pass
 
 
-class NotZeroDeltaBisim(CtmcError):
+class NotZeroDeltaBisim(NegativeVerdict):
     pass
 
 

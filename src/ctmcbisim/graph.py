@@ -1,9 +1,12 @@
-"""Reachability and cycle search on the positive entries of a matrix.
+"""Reachability, connected components and cycle search on the positive
+entries of a matrix.
 
 Graphs are given as a compressed sparse row index ``(indptr, indices)``:
 the neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``, in
 ascending order.  A chain builds this index once for its jump graph
-(``Ctmc.succ``) and once for the reversed graph (``Ctmc.pred``).
+(``Ctmc.succ``) and once for the reversed graph (``Ctmc.pred``);
+``components`` groups nearby eigenvalues in ``spectral.decompose`` and the
+states of a relation in ``bisim.PairRelation``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,19 @@ def reach(index: Index, sources: Iterable[int]) -> set[int]:
         seen[nxt] = True
         frontier = nxt.tolist()
     return set(np.flatnonzero(seen).tolist())
+
+
+def components(index: Index) -> list[list[int]]:
+    """Connected components of a symmetric graph: each a sorted vertex
+    list, the list ordered by smallest vertex."""
+    done = np.zeros(len(index[0]) - 1, dtype=bool)
+    out = []
+    for v in range(len(done)):
+        if not done[v]:
+            members = sorted(reach(index, [v]))
+            done[members] = True
+            out.append(members)
+    return out
 
 
 def find_cycle(index: Index, inside: np.ndarray, self_loops: bool = True) -> tuple[int, int] | None:

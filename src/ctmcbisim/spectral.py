@@ -28,6 +28,7 @@ from .errors import (
     DecompositionUnstable,
     ModulusOneNotOne,
     NotAcyclic,
+    NumericalFailure,
     SpectralGapZero,
     WrongKind,
 )
@@ -84,27 +85,18 @@ def _eig_sort_key(ev: complex):
     return (-abs(ev), cmath.phase(ev))
 
 
-def _rank(A: np.ndarray) -> int:
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * max(1.0, float(s[0]))))
-
-
-def _kernel_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the (numerical) kernel of A."""
-    u, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, float(s[0])))) if s.size else 0
-    return vh[rank:].conj().T
+def _project_out(w: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """``w`` minus its components along the orthonormal ``basis``."""
+    for _ in range(2):  # two Gram-Schmidt passes
+        for b in basis:
+            w = w - (b.conj() @ w) * b
+    return w
 
 
 def _orthonormalize(vectors: list[np.ndarray]) -> list[np.ndarray]:
     basis: list[np.ndarray] = []
     for v in vectors:
-        w = np.asarray(v, dtype=complex).copy()
-        for _ in range(2):  # two Gram-Schmidt passes
-            for b in basis:
-                w = w - (b.conj() @ w) * b
+        w = _project_out(np.asarray(v, dtype=complex), basis)
         norm = float(np.linalg.norm(w))
         if norm > 1e-10:
             basis.append(w / norm)
@@ -118,10 +110,7 @@ def _pick_complement(cands: np.ndarray, existing: list[np.ndarray], need: int, t
     for _ in range(need):
         best, best_norm = None, 0.0
         for j in range(cands.shape[1]):
-            w = cands[:, j].astype(complex)
-            for _ in range(2):
-                for b in basis:
-                    w = w - (b.conj() @ w) * b
+            w = _project_out(cands[:, j].astype(complex), basis)
             norm = float(np.linalg.norm(w))
             if norm > best_norm:
                 best_norm, best = norm, w
@@ -136,21 +125,26 @@ def _pick_complement(cands: np.ndarray, existing: list[np.ndarray], need: int, t
 def _cluster_chains(P: np.ndarray, mu: complex, mult: int, tol: float) -> list[tuple[int, list[np.ndarray]]]:
     """Generalized eigenvector chains for one eigenvalue, longest first.
 
-    Kernel dimensions of ``(P - mu I)^k`` fix the block sizes; top vectors
-    are chosen per level to complement the lower kernel plus the images of
-    the longer chains, then each chain is read off as
-    ``A^{l-1} v, ..., A v, v`` (eigenvector first).
+    Kernel dimensions of ``(P - mu I)^k``, read with the kernels from one
+    SVD per power, fix the block sizes; top vectors are chosen per level to
+    complement the lower kernel plus the images of the longer chains, then
+    each chain is read off as ``A^{l-1} v, ..., A v, v`` (eigenvector
+    first).
     """
     n = P.shape[0]
     A = P.astype(complex) - mu * np.eye(n)
     powers = [np.eye(n, dtype=complex)]
+    kernels: list[np.ndarray | None] = [None]
     dims = [0]
     while dims[-1] < mult:
         powers.append(powers[-1] @ A)
-        dk = min(n - _rank(powers[-1]), mult)
+        _, s, vh = np.linalg.svd(powers[-1])
+        rank = int(np.sum(s > RANK_TOL * max(1.0, float(s[0]))))
+        dk = min(n - rank, mult)
         if dk <= dims[-1]:
             raise DecompositionUnstable(math.inf, tol)
         dims.append(dk)
+        kernels.append(vh[rank:].conj().T)
     depth = len(dims) - 1
     at_least = [dims[k] - dims[k - 1] for k in range(1, depth + 1)]
     if any(at_least[i] < at_least[i + 1] for i in range(depth - 1)):
@@ -158,7 +152,6 @@ def _cluster_chains(P: np.ndarray, mu: complex, mult: int, tol: float) -> list[t
     exactly = [
         at_least[k] - (at_least[k + 1] if k + 1 < depth else 0) for k in range(depth)
     ]
-    kernels = [None] + [_kernel_basis(powers[k]) for k in range(1, depth + 1)]
 
     tops: list[tuple[int, np.ndarray]] = []
     for k in range(depth, 0, -1):
@@ -196,7 +189,7 @@ def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError("P must be square")
-    absorbing = int(np.sum(np.diag(P) >= 1.0 - ABSORBING_EPS))
+    absorbing = int(np.sum(_absorbing_states(P)))
 
     evals, evecs = np.linalg.eig(P)
     big = np.abs(evals) >= 1.0 - MOD_ONE_TOL
@@ -238,24 +231,9 @@ def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
         raise DecompositionUnstable(math.inf, tol)
 
     # cluster nearby eigenvalues; snap the 1- and 0-clusters exactly
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(evals[i] - evals[j]) <= CLUSTER_TOL:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
+    near = np.abs(evals[:, None] - evals[None, :]) <= CLUSTER_TOL
     clusters: list[tuple[complex, int]] = []
-    for members in groups.values():
+    for members in graph.components(graph.csr(near)):
         vals = evals[members]
         if np.any(np.abs(vals - 1.0) <= MOD_ONE_TOL):
             rep = 1.0 + 0.0j
@@ -268,7 +246,6 @@ def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
 
     cols: list[np.ndarray] = []
     blocks: list[tuple[complex, int]] = []
-    eigenvalues: list[complex] = []
     for mu, mult in clusters:
         chains = _cluster_chains(P, mu, mult, tol)
         if mu == 1.0 and any(length > 1 for length, _ in chains):
@@ -276,21 +253,19 @@ def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
         for length, chain_cols in chains:
             cols.extend(chain_cols)
             blocks.append((mu, length))
-            eigenvalues.extend([mu] * length)
 
     S = np.column_stack(cols)
     try:
         S_inv = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise DecompositionUnstable(math.inf, tol) from None
-    J = np.zeros((n, n), dtype=complex)
-    off = 0
-    for mu, size in blocks:
-        for i in range(size):
-            J[off + i, off + i] = mu
-            if i + 1 < size:
-                J[off + i, off + i + 1] = 1.0
-        off += size
+    # eigenvalues on the diagonal, ones on the superdiagonal inside each block
+    mus, sizes = zip(*blocks)
+    eigenvalues = np.repeat(np.array(mus), sizes)
+    J = np.diag(eigenvalues)
+    block_of = np.repeat(np.arange(len(blocks)), sizes)
+    inner = np.flatnonzero(block_of[1:] == block_of[:-1])
+    J[inner, inner + 1] = 1.0
     residual = float(np.max(np.abs(S @ J @ S_inv - P)))
     if residual > tol:
         raise DecompositionUnstable(residual, tol)
@@ -298,7 +273,7 @@ def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
         kind="jordan",
         S=S,
         S_inv=S_inv,
-        eigenvalues=np.array(eigenvalues),
+        eigenvalues=eigenvalues,
         blocks=tuple(blocks),
         a_p=a_p,
         residual=residual,
@@ -495,9 +470,6 @@ def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray
     return _jordan_bound_from(sd, rate, c, t_grid, tol)
 
 
-_SPECTRAL_FAILURES = (ModulusOneNotOne, DecompositionUnstable, SpectralGapZero, AcyclicChain)
-
-
 def _spectral_values(Mn: Ctmc, c: float, t_grid, tol: float) -> np.ndarray:
     if is_embedded_acyclic(Mn):
         return _acyclic_values(Mn, _uniform_rate(Mn), c, t_grid)
@@ -535,7 +507,7 @@ def combined_bound(
     base = np.array([erlang_N_bound(rate * float(t), delta) for t in t_grid])
     try:
         spec = _spectral_values(Mn, c, t_grid, tol) if spectral is None else spectral()
-    except _SPECTRAL_FAILURES as exc:
+    except NumericalFailure as exc:
         warnings.warn(
             f"spectral bound unavailable ({exc}); falling back to the"
             " chain-length bound",
