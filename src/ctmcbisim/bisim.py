@@ -454,7 +454,7 @@ def epsilon_delta_bisim(M: Ctmc, eps: float, delta: float, eta: float = FLOW_ETA
 class RelationCheck:
     ok: bool
     pair: tuple[int, int] | None = None
-    condition: str | None = None  # "label" | "delta" | "eps"
+    condition: str | None = None  # "label" | "delta" | "eps" | "reward"
     detail: str = ""
 
     def __bool__(self) -> bool:
@@ -462,17 +462,18 @@ class RelationCheck:
 
 
 def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> RelationCheck:
-    """Verify label equality, the rate condition, and the flow condition
-    for every pair; reports the first failure."""
+    """Verify label equality, the rate condition, the flow condition and,
+    when the chain has rewards, reward equality for every pair; reports
+    the first failure.  Rewards are checked after the other conditions
+    have passed for every pair."""
     if R.n != M.n:
         raise ValueError("relation size does not match the chain")
     lnE = np.log(M.E)
     labels = M.label_sets
     rows = [_row(M, s) for s in range(M.n)]
     threshold = _threshold(R.eps, eta)
-    for s, t in sorted(R.pairs):
-        if s >= t:
-            continue
+    pairs = R.off_diagonal()
+    for s, t in pairs:
         if labels[s] != labels[t]:
             return RelationCheck(False, (s, t), "label", f"{labels[s]} != {labels[t]}")
         gap = abs(lnE[s] - lnE[t])
@@ -487,6 +488,11 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
                     "eps",
                     f"max related mass {_related_mass(f):.12g} < 1 - eps",
                 )
+    if M.rewards is not None:
+        rewards = M.rewards.tolist()
+        for s, t in pairs:
+            if rewards[s] != rewards[t]:
+                return RelationCheck(False, (s, t), "reward", f"{rewards[s]!r} != {rewards[t]!r}")
     return RelationCheck(True)
 
 

@@ -55,8 +55,15 @@ def _json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+def _table(names: tuple[str, ...], rows, args) -> None:
+    """``rows`` as CSV (integers and booleans as digits, floats with 17
+    significant digits) or, with ``--format json``, as a list of objects."""
+    if args.format == "json":
+        _json([dict(zip(names, row)) for row in rows], args.out)
+    else:
+        lines = [",".join(names)]
+        lines += [",".join(format(x, "d" if isinstance(x, int) else ".17g") for x in row) for row in rows]
+        _emit("\n".join(lines) + "\n", args.out)
 
 
 # --------------------------------------------------------------------------
@@ -157,18 +164,7 @@ def cmd_pareto(args) -> int:
     for eps, delta in points:
         bound = uniformization_bound(eps, delta, args.q, args.t)
         rows.append((eps, delta, bound, bound <= args.theta + 1e-12))
-    if args.format == "json":
-        _json(
-            [
-                {"eps": e, "delta": d, "bound": b, "within": ok}
-                for e, d, b, ok in rows
-            ],
-            args.out,
-        )
-    else:
-        lines = ["eps,delta,bound,within"]
-        lines += [f"{_g17(e)},{_g17(d)},{_g17(b)},{int(ok)}" for e, d, b, ok in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+    _table(("eps", "delta", "bound", "within"), rows, args)
     return 0 if all(ok for *_, ok in rows) else 1
 
 
@@ -225,16 +221,11 @@ def cmd_pn(args) -> int:
     sd = decompose(Mn.P, tol=args.tol)
     fn = pn_diag if sd.kind == "diag" else pn_jordan
     oracle = hit_exact_steps(Mn, args.steps).probs
-    rows = [(k, float(fn(sd, k)), float(oracle[k - 1])) for k in range(1, args.steps + 1)]
-    if args.format == "json":
-        _json(
-            [{"n": k, "formula": f, "oracle": o, "abs_err": abs(f - o)} for k, f, o in rows],
-            args.out,
-        )
-    else:
-        lines = ["n,formula,oracle,abs_err"]
-        lines += [f"{k},{_g17(f)},{_g17(o)},{_g17(abs(f - o))}" for k, f, o in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+    rows = []
+    for k in range(1, args.steps + 1):
+        f, o = float(fn(sd, k)), float(oracle[k - 1])
+        rows.append((k, f, o, abs(f - o)))
+    _table(("n", "formula", "oracle", "abs_err"), rows, args)
     return 0
 
 
@@ -396,15 +387,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except err.NegativeVerdict as e:
+    except (err.CtmcError, *_NUMERICAL_ERRORS, OSError, KeyError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 3
-    except (err.CtmcError, OSError, KeyError, ValueError) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, err.NegativeVerdict) else 3 if isinstance(e, _NUMERICAL_ERRORS) else 2
 
 
 if __name__ == "__main__":

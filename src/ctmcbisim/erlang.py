@@ -187,7 +187,7 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     """sum_n p_n * erlang_diff(n, e^delta, t') at every grid time, truncated
     once the hit mass not yet summed drops below tol (each remaining term is
     <= that mass).  Raises :class:`TruncationLimit` when that mass is still
-    >= tol after more than ``MAX_TERMS`` steps.
+    >= tol after ``MAX_TERMS`` steps.
 
     The hit-step distribution does not depend on t, so it is computed once
     for the whole grid.  General uniform rate r is handled by evaluating at
@@ -201,17 +201,17 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     ts = [float(t) for t in t_grid]
     if delta == 0.0 or not any(ts):
         return np.zeros(len(ts))
-    K = 64
+    K = min(64, MAX_TERMS)
     while True:
         hits = hit_exact_steps(M, K)
         remaining = hits.reach - float(hits.probs.sum())
         if remaining < tol:
             break
-        if K > MAX_TERMS:
+        if K >= MAX_TERMS:
             raise TruncationLimit(
                 f"hit mass {remaining:g} is still >= tol={tol!r} after {K} steps (MAX_TERMS={MAX_TERMS})"
             )
-        K *= 2
+        K = min(2 * K, MAX_TERMS)
     return gap_curve(c, r, ts, [(1.0, hits.probs)])
 
 
@@ -248,15 +248,15 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
             continue
         teff = r * t
         total = teff * (c - 1.0)
-        K = 256
+        K = min(256, MAX_TERMS)
         while True:
             diffs = erlang_diff_prefix(c, teff, K)
             partial = float(np.dot(diffs[1:], 1.0 / np.arange(1.0, K + 1.0)))
             tail = max(0.0, total - float(diffs[1:].sum())) / (K + 1.0)
-            if ex * tail < tol or K > MAX_TERMS:
+            if ex * tail < tol or K >= MAX_TERMS:
                 out[i] = min(1.0, ex * (partial + tail))
                 break
-            K *= 2
+            K = min(2 * K, MAX_TERMS)
     return out
 
 

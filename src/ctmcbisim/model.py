@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import reprlib
 from dataclasses import dataclass, field, replace
@@ -138,9 +139,9 @@ def make_ctmc(
 
     ``states`` holds ``(id, labels, exit_rate)`` or
     ``(id, labels, exit_rate, reward)`` tuples; ``transitions`` holds
-    ``(from_id, to_id, prob)``.  Omitted transitions are zero.  The chain
-    gets the checks of :func:`load_model`: goal and fail states are not
-    checked, everything else is.
+    ``(from_id, to_id, prob)``; repeated ones add up, omitted ones are
+    zero.  Goal and fail states are not checked, everything else is.
+    :func:`load_model` builds its chains here too.
     """
     ids = tuple(s[0] for s in states)
     if len(set(ids)) != len(ids):
@@ -464,47 +465,35 @@ def _parse_rate(value, where: str) -> tuple[float, str | None]:
 
 
 def model_from_dict(d: dict) -> Ctmc:
-    """Chain from the parsed JSON model format; a value of the wrong JSON
-    type raises ValueError naming its field."""
+    """Chain from the parsed JSON model format, built by :func:`make_ctmc`;
+    a value of the wrong JSON type raises ValueError naming its field."""
     states = _expect(_expect(d, dict, "model").get("states"), list, "states")
     for k, s in enumerate(states):
         _expect(s, dict, f"states[{k}]")
         _expect(s.get("id"), str, f"states[{k}].id")
         _names(s.get("labels"), f"states[{k}].labels")
-    ids = tuple(s["id"] for s in states)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate state ids")
-    idx = {sid: i for i, sid in enumerate(ids)}
-    labels = tuple(tuple(s["labels"]) for s in states)
     rates, exprs = zip(
         *(_parse_rate(s.get("exit_rate"), f"states[{k}].exit_rate") for k, s in enumerate(states))
     )
-    has_rewards = any("reward" in s for s in states)
-    rewards = None
-    if has_rewards:
-        rewards = np.array(
-            [_number(s.get("reward", 0.0), f"states[{k}].reward") for k, s in enumerate(states)]
-        )
-    n = len(ids)
-    P = np.zeros((n, n))
+    rows = [
+        (s["id"], s["labels"], rate) + ((_number(s["reward"], f"states[{k}].reward"),) if "reward" in s else ())
+        for k, (s, rate) in enumerate(zip(states, rates))
+    ]
+    transitions = _expect(d.get("transitions", []), list, "transitions")
     try:
-        for tr in _expect(d.get("transitions", []), list, "transitions"):
-            P[idx[tr["from"]], idx[tr["to"]]] += float(tr["prob"])
+        M = make_ctmc(
+            rows,
+            # streamed: a model file may hold far more transitions than states
+            map(operator.itemgetter("from", "to", "prob"), transitions),
+            _expect(d.get("initial"), str, "initial"),
+            _names(d.get("goal", []), "goal"),
+            _names(d.get("fail", []), "fail"),
+        )
     except (TypeError, OverflowError):
         raise ValueError(
             "transitions: each entry must be an object with string 'from' and 'to' and a numeric 'prob'"
         ) from None
-    return Ctmc(
-        ids=ids,
-        labels=labels,
-        P=P,
-        E=np.array(rates, dtype=float),
-        initial=idx[_expect(d.get("initial"), str, "initial")],
-        goal=tuple(idx[g] for g in _names(d.get("goal", []), "goal")),
-        fail=tuple(idx[f] for f in _names(d.get("fail", []), "fail")),
-        rewards=rewards,
-        rate_exprs=exprs if any(e is not None for e in exprs) else None,
-    )
+    return replace(M, rate_exprs=exprs if any(e is not None for e in exprs) else None)
 
 
 def model_to_dict(M: Ctmc) -> dict:
@@ -543,9 +532,7 @@ def load_model(path: str) -> Ctmc:
     repairs a goal that is not absorbing or not uniquely labeled.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        M = model_from_dict(json.load(fh))
-    validate(replace(M, goal=(), fail=()))
-    return M
+        return model_from_dict(json.load(fh))
 
 
 def save_model(M: Ctmc, path: str) -> None:

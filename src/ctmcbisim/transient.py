@@ -22,7 +22,7 @@ import numpy as np
 
 from . import graph
 from .errors import JumpBudgetExceeded, NonUniformRates
-from .model import Ctmc, scale, uniformize
+from .model import ABSORBING_EPS, Ctmc, scale, uniformize
 
 DEFAULT_TRUNCATION_ERROR = 1e-10
 
@@ -280,7 +280,7 @@ def simulate_paths(
     rng = np.random.default_rng(seed)
     weights = np.ones(M.n) if budget_weights is None else np.asarray(budget_weights, dtype=float)
     cum = np.cumsum(M.P, axis=1)
-    absorbing = np.abs(np.diag(M.P) - 1.0) <= 1e-15
+    absorbing = np.diag(M.P) >= 1.0 - ABSORBING_EPS
 
     state = np.full(n, M.initial)
     clock = np.zeros(n)
