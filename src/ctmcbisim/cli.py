@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="seeded Monte Carlo time-bounded reachability")
     add_model(sp)
     sp.add_argument("--t", type=_NONNEGATIVE, required=True)
-    sp.add_argument("--paths", type=int, default=10_000)
+    sp.add_argument("--paths", type=_int_at_least(1), default=10_000)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--confidence", type=_between(0.0, 1.0), default=0.95)
     sp.set_defaults(fn=cmd_simulate)

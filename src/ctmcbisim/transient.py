@@ -31,6 +31,11 @@ DEFAULT_TRUNCATION_ERROR = 1e-10
 MAX_TERMS = 1 << 22
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+
+
 @dataclass(frozen=True)
 class TransientQuery:
     start: int | None = None
@@ -38,8 +43,7 @@ class TransientQuery:
     truncation_error: float = DEFAULT_TRUNCATION_ERROR
 
     def __post_init__(self):
-        if self.horizon < 0.0:
-            raise ValueError("horizon must be nonnegative")
+        _check_horizon(self.horizon)
         if not (0.0 < self.truncation_error < 1.0):
             raise ValueError("truncation_error must lie in (0, 1)")
 
@@ -258,6 +262,24 @@ def _wilson(hits: int, n: int, confidence: float) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _next_states(cum: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each path i, the number of entries of ``cum[s[i]]`` below ``u[i]``.
+
+    The paths are grouped by state and each group takes one binary search
+    in its row: in a nondecreasing row ``side="left"`` counts the entries
+    strictly below ``u``, the same integer as
+    ``(cum[s] < u[:, None]).sum(axis=1)``, in O(log n) time per path and
+    with no paths x n temporary.  Adding row offsets to ``cum`` for one global
+    search would round, and the draws would change.
+    """
+    order = np.argsort(s, kind="stable")
+    ranked = s[order]
+    nxt = np.empty(s.size, dtype=np.intp)
+    for part in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        nxt[part] = np.searchsorted(cum[s[part[0]]], u[part], side="left")
+    return nxt
+
+
 def simulate_paths(
     M: Ctmc,
     n: int,
@@ -272,13 +294,22 @@ def simulate_paths(
     With ``budget_weights`` w the clock advances by ``w[s] * sojourn``
     instead of the sojourn itself, which turns the same sampler into a
     reward-accumulation estimator (weights = per-state reward rates).
-    All paths are advanced in lockstep as vector operations.
+    All paths are advanced in lockstep as vector operations.  Raises
+    ValueError, before any random draw, for a bad ``n``, ``horizon``,
+    ``confidence`` or ``budget_weights``.
     """
     if n < 1:
         raise ValueError(f"need at least one path, got {n}")
+    _check_horizon(horizon)
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    weights = np.ones(M.n) if budget_weights is None else np.asarray(budget_weights, dtype=float)
+    if weights.shape != (M.n,) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(
+            f"budget_weights must be {M.n} finite nonnegative numbers, got shape {weights.shape}"
+        )
     g = M.goal_state()
     rng = np.random.default_rng(seed)
-    weights = np.ones(M.n) if budget_weights is None else np.asarray(budget_weights, dtype=float)
     cum = np.cumsum(M.P, axis=1)
     absorbing = np.diag(M.P) >= 1.0 - ABSORBING_EPS
 
@@ -314,8 +345,7 @@ def simulate_paths(
             if idx.size == 0:
                 continue
         u = rng.random(idx.size)
-        nxt = (cum[s] < u[:, None]).sum(axis=1)
-        nxt = np.minimum(nxt, M.n - 1)
+        nxt = np.minimum(_next_states(cum, s, u), M.n - 1)
         state[idx] = nxt
         arrived = nxt == g
         if arrived.any():

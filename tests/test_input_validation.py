@@ -1,9 +1,10 @@
 """Model files at the input boundary: non-finite values, values of the
 wrong JSON type and a zero path count all end in exit code 2 with a
-message naming the problem, never in a traceback.  A hypothesis fuzz test
-drives the CLI with malformed and NaN/inf model files and checks the
-exit-code contract (0 ok, 1 negative verdict, 2 bad input, 3 numerical
-failure)."""
+message naming the problem, never in a traceback.  ``simulate_paths``
+rejects a bad horizon, confidence or weight vector before drawing.  A
+hypothesis fuzz test drives the CLI with malformed and NaN/inf model files
+and checks the exit-code contract (0 ok, 1 negative verdict, 2 bad input,
+3 numerical failure)."""
 
 import contextlib
 import copy
@@ -13,7 +14,9 @@ import math
 import os
 import re
 import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,7 +166,37 @@ def test_cli_simulate_zero_paths(capsys, tmp_path):
     path = _write(tmp_path / "m.json", _document())
     rc, out, err = _run(capsys, ["simulate", "-m", path, "--t", "1", "--paths", "0"])
     assert (rc, out) == (2, "")
-    assert err.startswith("ValueError: need at least one path")
+    assert err.startswith("usage: ctmcbisim simulate") and "argument --paths: must be an integer >= 1" in err
+
+
+_WEIGHTS = np.ones(fixtures.branch_merge_chain().n)
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        ("budget_weights", _WEIGHTS[:-1]),
+        ("budget_weights", np.ones(len(_WEIGHTS) + 1)),
+        ("budget_weights", _WEIGHTS[:, None]),
+        ("budget_weights", np.r_[_WEIGHTS[:-1], -1.0]),
+        ("budget_weights", np.r_[_WEIGHTS[:-1], math.nan]),
+        ("budget_weights", np.r_[_WEIGHTS[:-1], math.inf]),
+        ("horizon", -1.0),
+        ("horizon", math.nan),
+        ("horizon", math.inf),
+        ("confidence", 0.0),
+        ("confidence", 1.0),
+        ("confidence", math.nan),
+    ],
+    ids=["weights-short", "weights-long", "weights-2d", "weights-negative", "weights-nan",
+         "weights-inf", "horizon-negative", "horizon-nan", "horizon-inf", "confidence-0",
+         "confidence-1", "confidence-nan"],
+)
+def test_simulate_paths_rejects_bad_arguments_before_drawing(argument, value):
+    kwargs = {"horizon": 1.0, argument: value}
+    with mock.patch("numpy.random.default_rng", side_effect=AssertionError("drew before checking")):
+        with pytest.raises(ValueError, match=f"^{argument} must"):
+            simulate_paths(fixtures.branch_merge_chain(), 100, seed=0, **kwargs)
 
 
 def test_non_finite_poisson_mean(capsys, tmp_path):

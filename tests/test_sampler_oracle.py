@@ -1,0 +1,231 @@
+"""``simulate_paths`` against the sampler it replaced.
+
+The library draws each next state with one binary search per run of
+equal states (``transient._next_states``); the sampler below draws it as
+``(cum[s] < u[:, None]).sum(axis=1)``, with a paths x n temporary per
+jump.  It is kept verbatim apart from an ``_oracle`` suffix on its name.
+Both make the same random calls in the same order, so every seeded
+``SimulationResult`` must be equal, and ``JumpBudgetExceeded`` must be
+raised at the same jump.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctmcbisim import make_ctmc, validate
+from ctmcbisim.errors import JumpBudgetExceeded
+from ctmcbisim.model import ABSORBING_EPS, Ctmc
+from ctmcbisim.transient import SimulationResult, _next_states, _wilson, simulate_paths
+
+from helpers import random_dag_chain, random_labeled_chain, random_rewarded_chain, random_uniform_chain
+
+# ---------------------------------------------------------------- oracle
+
+
+def simulate_paths_oracle(
+    M: Ctmc,
+    n: int,
+    horizon: float,
+    seed: int,
+    budget_weights: np.ndarray | None = None,
+    confidence: float = 0.95,
+    max_jumps: int = 100_000,
+) -> SimulationResult:
+    """Seeded Monte Carlo estimate of reaching g within the horizon.
+
+    With ``budget_weights`` w the clock advances by ``w[s] * sojourn``
+    instead of the sojourn itself, which turns the same sampler into a
+    reward-accumulation estimator (weights = per-state reward rates).
+    All paths are advanced in lockstep as vector operations.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one path, got {n}")
+    g = M.goal_state()
+    rng = np.random.default_rng(seed)
+    weights = np.ones(M.n) if budget_weights is None else np.asarray(budget_weights, dtype=float)
+    cum = np.cumsum(M.P, axis=1)
+    absorbing = np.diag(M.P) >= 1.0 - ABSORBING_EPS
+
+    state = np.full(n, M.initial)
+    clock = np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+    if M.initial == g:
+        hit[:] = True
+        active[:] = False
+
+    jumps = 0
+    while active.any():
+        jumps += 1
+        if jumps > max_jumps:
+            raise JumpBudgetExceeded(max_jumps)
+        idx = np.flatnonzero(active)
+        s = state[idx]
+        stuck = absorbing[s]
+        if stuck.any():
+            active[idx[stuck]] = False
+            idx = idx[~stuck]
+            s = s[~stuck]
+            if idx.size == 0:
+                continue
+        sojourn = rng.exponential(1.0, idx.size) / M.E[s]
+        clock[idx] += weights[s] * sojourn
+        expired = clock[idx] > horizon
+        if expired.any():
+            active[idx[expired]] = False
+            idx = idx[~expired]
+            s = s[~expired]
+            if idx.size == 0:
+                continue
+        u = rng.random(idx.size)
+        nxt = (cum[s] < u[:, None]).sum(axis=1)
+        nxt = np.minimum(nxt, M.n - 1)
+        state[idx] = nxt
+        arrived = nxt == g
+        if arrived.any():
+            hit[idx[arrived]] = True
+            active[idx[arrived]] = False
+
+    hits = int(hit.sum())
+    low, high = _wilson(hits, n, confidence)
+    return SimulationResult(
+        estimate=hits / n, ci_low=low, ci_high=high, hits=hits, paths=n, confidence=confidence
+    )
+
+
+def _same(M: Ctmc, paths: int, horizon: float, seed: int, **kwargs) -> SimulationResult:
+    got = simulate_paths(M, paths, horizon, seed, **kwargs)
+    assert got == simulate_paths_oracle(M, paths, horizon, seed, **kwargs)
+    return got
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_HORIZONS = st.sampled_from((0.0, 0.3, 1.0, 2.5, 7.0, 40.0))
+
+# ---------------------------------------------------------------- random chains
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chain=st.integers(0, 3_000),
+    kind=st.sampled_from(("uniform", "dag", "labeled")),
+    seed=_SEEDS,
+    horizon=_HORIZONS,
+    paths=st.sampled_from((1, 7, 500)),
+)
+def test_same_result_on_helper_chains(chain, kind, seed, horizon, paths):
+    rng = np.random.default_rng(chain)
+    M = {"uniform": random_uniform_chain, "dag": random_dag_chain, "labeled": random_labeled_chain}[kind](rng)
+    _same(M, paths, horizon, seed, confidence=0.9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=st.integers(0, 3_000), seed=_SEEDS, horizon=_HORIZONS)
+def test_same_result_with_reward_budget(chain, seed, horizon):
+    # the fail sink of a rewarded chain is an absorbing non-goal state
+    M = random_rewarded_chain(np.random.default_rng(chain))
+    _same(M, 500, horizon, seed, budget_weights=M.rewards, confidence=0.99)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chain=st.integers(0, 3_000),
+    dead=st.lists(st.booleans(), min_size=12, max_size=12),
+    seed=_SEEDS,
+    horizon=_HORIZONS,
+)
+def test_same_result_with_dead_ends(chain, dead, seed, horizon):
+    M = random_uniform_chain(np.random.default_rng(chain), n_max=12)
+    P = M.P.copy()
+    for s in range(1, M.n - 1):
+        if dead[s]:
+            P[s] = np.eye(M.n)[s]
+    _same(validate(replace(M, P=P)), 500, horizon, seed)
+
+
+# ---------------------------------------------------------------- edge cases
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=_SEEDS, leak=st.sampled_from((1e-13, ABSORBING_EPS, 4.0 * ABSORBING_EPS)))
+def test_same_result_at_nearly_absorbing_states(seed, leak):
+    M = make_ctmc(
+        [("s", (), 1.0), ("a", ("a",), 1.0), ("b", (), 1.0), ("g", ("g",), 1.0)],
+        [("s", "a", 0.5), ("s", "b", 0.5), ("a", "a", 1.0 - leak), ("a", "g", leak),
+         ("b", "g", 1.0), ("g", "g", 1.0)],
+        initial="s",
+        goal=("g",),
+    )
+    _same(M, 400, 30.0, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chain=st.integers(0, 3_000), seed=_SEEDS, horizon=_HORIZONS)
+def test_same_result_when_starting_in_the_goal(chain, seed, horizon):
+    M = random_uniform_chain(np.random.default_rng(chain))
+    res = _same(replace(M, initial=M.goal_state()), 50, horizon, seed)
+    assert res.hits == 50
+
+
+@settings(max_examples=10, deadline=None)
+@given(chain=st.integers(0, 3_000), seed=_SEEDS)
+def test_same_result_at_horizon_zero(chain, seed):
+    M = random_uniform_chain(np.random.default_rng(chain))
+    assert _same(M, 300, 0.0, seed).hits == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=_SEEDS, max_jumps=st.integers(1, 6))
+def test_same_jump_budget_error(seed, max_jumps):
+    M = make_ctmc(
+        [("a", (), 1.0), ("b", (), 1.0), ("g", ("g",), 1.0)],
+        [("a", "b", 1.0), ("b", "a", 0.999), ("b", "g", 0.001), ("g", "g", 1.0)],
+        initial="a",
+        goal=("g",),
+    )
+    errors = []
+    for sampler in (simulate_paths, simulate_paths_oracle):
+        with pytest.raises(JumpBudgetExceeded) as info:
+            sampler(M, 200, 1e6, seed, max_jumps=max_jumps)
+        errors.append((str(info.value), info.value.max_jumps))
+    assert errors[0] == errors[1]
+
+
+# ---------------------------------------------------------------- the draw itself
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1, 2, 5)), min_size=5, max_size=5).filter(any),
+        min_size=1,
+        max_size=6,
+    ),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.sampled_from("eabrz")), min_size=1, max_size=40),
+    short=st.booleans(),
+)
+def test_next_states_counts_the_entries_below_u(rows, picks, short):
+    P = np.array([np.array(w, dtype=float) / sum(w) for w in rows])
+    if short:
+        # the last entry of a row can round below the largest u
+        P[0] *= 1.0 - 2.0**-40
+    cum = np.cumsum(P, axis=1)
+    s = np.array([row % len(rows) for row, _, _ in picks])
+    u = []
+    for k, (_, col, how) in zip(s, picks):
+        at = cum[k, col]
+        u.append({
+            "e": at,  # equal to an entry, repeated across zero-probability columns
+            "a": np.nextafter(at, 2.0),
+            "b": np.nextafter(at, -1.0),
+            "r": np.nextafter(cum[k, -1], 2.0),  # above the last entry
+            "z": 0.0,
+        }[how])
+    u = np.array(u)
+    assert np.array_equal(_next_states(cum, s, u), (cum[s] < u[:, None]).sum(axis=1))

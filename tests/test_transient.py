@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,19 @@ def test_simulate_budget_weights_mean_spend():
     a = simulate_paths(M, 20_000, 3.0, seed=5)
     b = simulate_paths(M, 20_000, 3.0, seed=5, budget_weights=np.ones(M.n))
     assert a == b
+
+
+def test_simulate_memory_does_not_grow_with_paths_times_states():
+    # a paths x n temporary per jump would be 2e4 * 400 * 8 B = 64 MB
+    M = random_uniform_chain(np.random.default_rng(0), n=400)
+    tracemalloc.start()
+    try:
+        res = simulate_paths(M, 20_000, 10.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.hits > 0
+    assert peak < 16 * 2**20
 
 
 def test_wilson_interval_sane():
