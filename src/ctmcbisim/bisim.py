@@ -528,8 +528,9 @@ def strong_bisim(M: Ctmc) -> Partition:
         sig = new_sig
 
 
-def check_quasi_lumpability(M: Ctmc, partition: Partition, tau: float, slack: float = 1e-12) -> bool:
-    """Same-block states' rates into every block must differ by at most tau."""
+def check_quasi_lumpability(M: Ctmc, partition: Partition, tau: float) -> bool:
+    """Same-block states' rates into every block must differ by at most tau
+    (plus 1e-12 of slack)."""
     if partition.n != M.n:
         raise ValueError("partition does not cover the chain")
     for block in partition.blocks:
@@ -537,7 +538,7 @@ def check_quasi_lumpability(M: Ctmc, partition: Partition, tau: float, slack: fl
         for target in partition.blocks:
             tgt = sorted(target)
             rates = [float(M.E[s]) * math.fsum(float(M.P[s, m]) for m in tgt) for s in members]
-            if max(rates) - min(rates) > tau + slack:
+            if max(rates) - min(rates) > tau + 1e-12:
                 return False
     return True
 

@@ -8,6 +8,7 @@ emits JSON reports or CSV curves.  Exit codes: 0 success / related,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -233,19 +234,7 @@ def cmd_simulate(args) -> int:
     M = load_model(args.model)
     Mn = normalize_goal(prune_unreachable(M))
     res = simulate_paths(Mn, args.paths, args.t, args.seed, confidence=args.confidence)
-    _json(
-        {
-            "estimate": res.estimate,
-            "ci_low": res.ci_low,
-            "ci_high": res.ci_high,
-            "hits": res.hits,
-            "paths": res.paths,
-            "confidence": res.confidence,
-            "horizon": args.t,
-            "seed": args.seed,
-        },
-        args.out,
-    )
+    _json({**dataclasses.asdict(res), "horizon": args.t, "seed": args.seed}, args.out)
     return 0
 
 
@@ -302,9 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_model(sp, required=True):
-        sp.add_argument("--model", "-m", "--model-a", dest="model", required=required,
-                        help="model JSON file")
+    def add_model(sp):
+        sp.add_argument("--model", "-m", "--model-a", dest="model", required=True, help="model JSON file")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     def add_tol(sp):

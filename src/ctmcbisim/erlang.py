@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonUniformRates, NotApplicable, TruncationLimit
 from .model import Ctmc
-from .transient import MAX_TERMS, expected_hit_steps, hit_exact_steps, log_factorials
+from .transient import MAX_TERMS, _poisson_pmf, expected_hit_steps, hit_exact_steps
 
 
 def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
@@ -32,9 +32,7 @@ def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
         return np.empty(0)
     if mu == 0.0:
         return np.ones(kmax + 1)
-    ks = np.arange(kmax + 1, dtype=float)
-    pmf = np.exp(-mu + ks * math.log(mu) - log_factorials(kmax))
-    return np.minimum(np.cumsum(pmf), 1.0)
+    return np.minimum(np.cumsum(_poisson_pmf(mu, kmax)), 1.0)
 
 
 def erlang_diff_prefix(c: float, t: float, n_max: int) -> np.ndarray:
@@ -139,8 +137,9 @@ class ParetoRegion:
         ratio = self.budget / (1.0 + eps)
         return max(0.0, math.log(ratio)) if ratio > 0.0 else 0.0
 
-    def contains(self, eps: float, delta: float, slack: float = 1e-12) -> bool:
-        return rate_factor(delta) * (1.0 + eps) <= self.budget + slack
+    def contains(self, eps: float, delta: float) -> bool:
+        """Admissible, with 1e-12 of slack on the budget."""
+        return rate_factor(delta) * (1.0 + eps) <= self.budget + 1e-12
 
     def frontier(self, samples: int) -> list[tuple[float, float]]:
         """(eps, delta) pairs along the boundary, delta sweeping 0..delta_max(0)."""
@@ -183,6 +182,17 @@ def _uniform_rate(M: Ctmc) -> float:
     return float(M.E[0])
 
 
+def _curve_args(M: Ctmc, delta: float, tol: float) -> tuple[float, float]:
+    """The uniform rate and ``e^delta`` of an Erlang-curve call, after
+    checking the single goal and a positive ``tol``."""
+    r = _uniform_rate(M)
+    M.goal_state()
+    c = rate_factor(delta)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    return r, c
+
+
 def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     """sum_n p_n * erlang_diff(n, e^delta, t') at every grid time, truncated
     once the hit mass not yet summed drops below tol (each remaining term is
@@ -193,23 +203,18 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     for the whole grid.  General uniform rate r is handled by evaluating at
     t' = r*t.
     """
-    r = _uniform_rate(M)
-    M.goal_state()
-    c = rate_factor(delta)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    r, c = _curve_args(M, delta, tol)
     ts = [float(t) for t in t_grid]
     if delta == 0.0 or not any(ts):
         return np.zeros(len(ts))
     K = min(64, MAX_TERMS)
     while True:
         hits = hit_exact_steps(M, K)
-        remaining = hits.reach - float(hits.probs.sum())
-        if remaining < tol:
+        if hits.tail_mass < tol:
             break
         if K >= MAX_TERMS:
             raise TruncationLimit(
-                f"hit mass {remaining:g} is still >= tol={tol!r} after {K} steps (MAX_TERMS={MAX_TERMS})"
+                f"hit mass {hits.tail_mass:g} is still >= tol={tol!r} after {K} steps (MAX_TERMS={MAX_TERMS})"
             )
         K = min(2 * K, MAX_TERMS)
     return gap_curve(c, r, ts, [(1.0, hits.probs)])
@@ -231,11 +236,7 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
     The expected step count is computed once; the truncation point K
     depends on t and is found per grid time.
     """
-    r = _uniform_rate(M)
-    M.goal_state()
-    c = rate_factor(delta)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    r, c = _curve_args(M, delta, tol)
     ex = expected_hit_steps(M)
     if math.isinf(ex):
         raise NotApplicable("expected hitting steps are infinite (fail state reachable)")
@@ -260,6 +261,6 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
     return out
 
 
-def markov_bound(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
+def markov_bound(M: Ctmc, delta: float, t: float) -> float:
     """:func:`markov_curve` at the single time t."""
-    return float(markov_curve(M, delta, [t], tol)[0])
+    return float(markov_curve(M, delta, [t])[0])

@@ -73,24 +73,24 @@ def defective_chain() -> Ctmc:
     )
 
 
-def parallel_erlang(lengths: tuple[int, ...], rate: float = 1.0) -> Ctmc:
+def parallel_erlang(lengths: tuple[int, ...]) -> Ctmc:
     """A uniform split into several disjoint lines of the given lengths,
-    all ending in one shared goal.  The transient jump block is nilpotent
+    all ending in one shared goal, every exit rate 1.  The transient jump block is nilpotent
     with one Jordan cell per line, so the hitting-step distribution mixes
     point masses at 1 + length_i."""
     if not lengths or any(l < 1 for l in lengths):
         raise ValueError("need nonempty positive lengths")
     k = len(lengths)
-    states = [("s0", ("a",), rate)]
+    states = [("s0", ("a",), 1.0)]
     transitions = []
     for b, length in enumerate(lengths):
         for i in range(length):
-            states.append((f"b{b}_{i}", ("a",), rate))
+            states.append((f"b{b}_{i}", ("a",), 1.0))
         transitions.append(("s0", f"b{b}_0", 1.0 / k))
         for i in range(length - 1):
             transitions.append((f"b{b}_{i}", f"b{b}_{i + 1}", 1.0))
         transitions.append((f"b{b}_{length - 1}", "g", 1.0))
-    states.append(("g", ("g",), rate))
+    states.append(("g", ("g",), 1.0))
     transitions.append(("g", "g", 1.0))
     return make_ctmc(states, transitions, initial="s0", goal=("g",))
 
@@ -294,15 +294,15 @@ def quasi_lumpable_gap_chain(
     return M, blocks
 
 
-def rewarded_tandem(rho_fast: float = 2.0, rho_slow: float = 0.5) -> Ctmc:
+def rewarded_tandem() -> Ctmc:
     """A three-stage line with a skippable zero-reward hop and distinct
     reward rates per stage; the budget question 'reach the end before
     spending r' has no closed form but is easy to simulate."""
     return make_ctmc(
         [
-            ("s0", (), 1.0, rho_fast),
+            ("s0", (), 1.0, 2.0),
             ("z", (), 4.0, 0.0),
-            ("s1", (), 2.0, rho_slow),
+            ("s1", (), 2.0, 0.5),
             ("g", ("g",), 1.0, 1.0),
             ("f", ("f",), 1.0, 0.0),
         ],

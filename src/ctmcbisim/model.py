@@ -38,6 +38,11 @@ ROW_SUM_TOL = 1e-12
 ABSORBING_EPS = 1e-12
 
 
+def _absorbing_states(P: np.ndarray) -> np.ndarray:
+    """Mask of the absorbing states of the jump matrix ``P``."""
+    return np.diag(P) >= 1.0 - ABSORBING_EPS
+
+
 @dataclass(frozen=True, eq=False)
 class Ctmc:
     """Finite labeled continuous-time chain.
@@ -118,9 +123,10 @@ class Ctmc:
     def max_rate(self) -> float:
         return float(np.max(self.E))
 
-    def is_uniform(self, rel_tol: float = 1e-12) -> bool:
+    def is_uniform(self) -> bool:
+        """Every exit rate equals ``E[0]`` within 1e-12, relative."""
         r = float(self.E[0])
-        return bool(np.all(np.abs(self.E - r) <= rel_tol * max(1.0, abs(r))))
+        return bool(np.all(np.abs(self.E - r) <= 1e-12 * max(1.0, abs(r))))
 
 
 # --------------------------------------------------------------------------
@@ -507,11 +513,10 @@ def model_to_dict(M: Ctmc) -> dict:
         if M.rewards is not None:
             st["reward"] = float(M.rewards[i])
         states.append(st)
+    rows, cols = np.nonzero(M.P > 0.0)  # row-major, the order of the entries
     transitions = [
-        {"from": M.ids[i], "to": M.ids[j], "prob": float(M.P[i, j])}
-        for i in range(M.n)
-        for j in range(M.n)
-        if M.P[i, j] > 0.0
+        {"from": M.ids[i], "to": M.ids[j], "prob": p}
+        for i, j, p in zip(rows.tolist(), cols.tolist(), M.P[rows, cols].tolist())
     ]
     d: dict = {"states": states, "transitions": transitions, "initial": M.ids[M.initial]}
     if M.goal:

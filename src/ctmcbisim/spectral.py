@@ -33,7 +33,7 @@ from .errors import (
     WrongKind,
 )
 from . import graph
-from .model import ABSORBING_EPS, Ctmc, normalize_goal, prune_unreachable
+from .model import Ctmc, _absorbing_states, normalize_goal, prune_unreachable
 from .pairuniform import uniformize_pair
 from .transient import MAX_TERMS, hit_exact_steps
 
@@ -172,7 +172,7 @@ def _cluster_chains(P: np.ndarray, mu: complex, mult: int, tol: float) -> list[t
     return chains
 
 
-def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
+def decompose(P: np.ndarray, tol: float = 1e-9) -> SpectralData:
     """Verified eigendecomposition of a jump matrix.
 
     Tries the plain eigenbasis first; if it is ill-conditioned or fails to
@@ -183,8 +183,6 @@ def decompose(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
     :class:`DecompositionUnstable` when no factorization reconstructs P
     within ``tol``.
     """
-    if isinstance(P, Ctmc):
-        P = P.P
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     if P.shape != (n, n):
@@ -298,21 +296,27 @@ def _real_part(value: complex) -> float:
     return float(value.real)
 
 
-def pn_diag(sd: SpectralData, k: int, init_row: int = 0, goal_col: int | None = None) -> float:
-    """p_k: probability of first entering the goal column at step k exactly,
-    read from a diagonal factorization."""
+def _diag_coefs(sd: SpectralData) -> np.ndarray:
+    """Per transient eigenvalue lam, ``S[0, i] S^-1[i, n-1] (lam - 1)``: its
+    weight in the step probabilities from row 0 into the goal column."""
+    a_p = sd.a_p
+    return sd.S[0, a_p:] * sd.S_inv[a_p:, sd.n - 1] * (sd.eigenvalues[a_p:] - 1.0)
+
+
+def pn_diag(sd: SpectralData, k: int) -> float:
+    """p_k: probability of first entering the goal column (the last) from
+    row 0 at step k exactly, read from a diagonal factorization."""
     if sd.kind != "diag":
         raise WrongKind("pn_diag needs a diagonal factorization")
     if k < 1:
         raise ValueError("steps are 1-based")
-    g = sd.n - 1 if goal_col is None else goal_col
     lams = sd.eigenvalues[sd.a_p:]
-    coef = sd.S[init_row, sd.a_p:] * sd.S_inv[sd.a_p:, g] * (lams - 1.0)
-    return _real_part(complex(np.sum(coef * lams ** (k - 1))))
+    return _real_part(complex(np.sum(_diag_coefs(sd) * lams ** (k - 1))))
 
 
-def pn_jordan(sd: SpectralData, N: int, init_row: int = 0, goal_col: int | None = None) -> float:
-    """p_N from a block factorization (handles defective matrices).
+def pn_jordan(sd: SpectralData, N: int) -> float:
+    """p_N, from row 0 into the goal column (the last), from a block
+    factorization (handles defective matrices).
 
     Blocks at the eigenvalue 1 contribute nothing; blocks at 0 contribute
     through the shifted difference of their nilpotent powers; every other
@@ -322,7 +326,7 @@ def pn_jordan(sd: SpectralData, N: int, init_row: int = 0, goal_col: int | None 
         raise WrongKind("pn_jordan needs a block factorization")
     if N < 1:
         raise ValueError("steps are 1-based")
-    g = sd.n - 1 if goal_col is None else goal_col
+    g = sd.n - 1
     total = 0.0 + 0.0j
     off = 0
     for mu, size in sd.blocks:
@@ -332,7 +336,7 @@ def pn_jordan(sd: SpectralData, N: int, init_row: int = 0, goal_col: int | None 
         if mu == 0.0:
             # (Z^N - Z^{N-1}) of the nilpotent shift: two staggered diagonals.
             for j in range(0, size - N + 1):
-                coef = (sd.S[init_row, off + j - 1] if j >= 1 else 0.0) - sd.S[init_row, off + j]
+                coef = (sd.S[0, off + j - 1] if j >= 1 else 0.0) - sd.S[0, off + j]
                 total += coef * sd.S_inv[off + N - 1 + j, g]
             off += size
             continue
@@ -343,7 +347,7 @@ def pn_jordan(sd: SpectralData, N: int, init_row: int = 0, goal_col: int | None 
                 c = mu ** (N - 1 - m) * (mu * math.comb(N, m) - math.comb(N - 1, m))
             inner = 0.0 + 0.0j
             for a in range(0, size - m):
-                inner += sd.S[init_row, off + a] * sd.S_inv[off + a + m, g]
+                inner += sd.S[0, off + a] * sd.S_inv[off + a + m, g]
             total += c * inner
         off += size
     return _real_part(total)
@@ -354,13 +358,12 @@ def pn_jordan(sd: SpectralData, N: int, init_row: int = 0, goal_col: int | None 
 # --------------------------------------------------------------------------
 
 
-def _prepare(M: Ctmc) -> tuple[Ctmc, float]:
+def _prepare(M: Ctmc, delta: float) -> tuple[float, Ctmc, float]:
+    """``e^delta`` (delta checked first), the goal-normalized chain and its
+    uniform rate."""
+    c = rate_factor(delta)
     Mn = normalize_goal(prune_unreachable(M))
-    return Mn, _uniform_rate(Mn)
-
-
-def _absorbing_states(P: np.ndarray) -> np.ndarray:
-    return np.diag(P) >= 1.0 - ABSORBING_EPS
+    return c, Mn, _uniform_rate(Mn)
 
 
 def is_embedded_acyclic(M: Ctmc) -> bool:
@@ -380,24 +383,20 @@ def acyclic_exact(M: Ctmc, delta: float, t: float) -> float:
     """Exact reachability gap against the ``e^delta``-accelerated copy for a
     chain whose transient jump graph is a DAG: the hit-step distribution has
     finite support, so the series is a finite sum with no truncation."""
-    c = rate_factor(delta)
-    Mn, rate = _prepare(M)
+    c, Mn, rate = _prepare(M, delta)
     if not is_embedded_acyclic(Mn):
         raise NotAcyclic("the transient jump graph has a cycle")
     return float(_acyclic_values(Mn, rate, c, [t])[0])
 
 
 def _diag_bound_from(sd: SpectralData, rate: float, c: float, t_grid, tol: float) -> np.ndarray:
-    n, a_p = sd.n, sd.a_p
-    trans = n - a_p
+    trans = sd.n - sd.a_p
     if trans == 0:
         return np.zeros(len(t_grid))
     lam = sd.lam
     if lam >= 1.0 - 1e-12:
         raise SpectralGapZero(f"second eigenvalue modulus {lam} leaves no decay margin")
-    g = n - 1
-    coefs = sd.S[0, a_p:] * sd.S_inv[a_p:, g] * (sd.eigenvalues[a_p:] - 1.0)
-    C = float(np.max(np.abs(coefs)))
+    C = float(np.max(np.abs(_diag_coefs(sd))))
 
     K = 64
     while trans * C * lam**K / (1.0 - lam) >= tol and K < MAX_TERMS:
@@ -452,8 +451,7 @@ def diag_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
     """Gap bound from the diagonal factorization: per grid time,
     ``(n - a_P) C sum_k lam^{k-1} erlang_diff(k, e^delta, r t)`` plus a
     certified geometric tail (added, so the result stays an upper bound)."""
-    c = rate_factor(delta)
-    Mn, rate = _prepare(M)
+    c, Mn, rate = _prepare(M, delta)
     sd = decompose(Mn.P)
     if sd.kind != "diag":
         raise WrongKind("the jump matrix is not diagonalizable")
@@ -464,8 +462,7 @@ def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray
     """Gap bound from the block factorization: exact step probabilities up
     to the largest block size, then a ``C k^{r-1} lam^{k-r}`` envelope with
     a certified ratio-test tail (added)."""
-    c = rate_factor(delta)
-    Mn, rate = _prepare(M)
+    c, Mn, rate = _prepare(M, delta)
     sd = as_jordan(decompose(Mn.P))
     return _jordan_bound_from(sd, rate, c, t_grid, tol)
 
@@ -502,8 +499,7 @@ def combined_bound(
     raising what :func:`spectral_curve` raised), to avoid a second
     decomposition.
     """
-    c = rate_factor(delta)
-    Mn, rate = _prepare(M)
+    c, Mn, rate = _prepare(M, delta)
     base = np.array([erlang_N_bound(rate * float(t), delta) for t in t_grid])
     try:
         spec = _spectral_values(Mn, c, t_grid, tol) if spectral is None else spectral()
@@ -538,7 +534,7 @@ def spectral_report(M: Ctmc, tol: float = 1e-9) -> dict:
     }
 
 
-def triangle_bound_eps_delta(M: Ctmc, N: Ctmc, eps: float, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
+def triangle_bound_eps_delta(M: Ctmc, N: Ctmc, eps: float, delta: float, t_grid) -> np.ndarray:
     """Gap bound between two (eps, delta)-related chains by splitting the
     tolerances: route through the intermediate product chains (probability
     step first, then the pure rate step), bound the rate step with the
@@ -557,6 +553,6 @@ def triangle_bound_eps_delta(M: Ctmc, N: Ctmc, eps: float, delta: float, t_grid,
         [(i, m_norm.n + i) for i in range(m_norm.n)], 2 * m_norm.n, 0.0, delta
     )
     pair = uniformize_pair(m_norm, n_norm, identity, delta)
-    core = combined_bound(pair.m_uniform, delta, t_grid, tol)
+    core = combined_bound(pair.m_uniform, delta, t_grid)
     unif = np.array([uniformization_bound(eps, 0.0, q_eps, float(t)) for t in t_grid])
     return np.minimum(1.0, core + unif)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import graph
 from .errors import JumpBudgetExceeded, NonUniformRates
-from .model import ABSORBING_EPS, Ctmc, scale, uniformize
+from .model import Ctmc, _absorbing_states, scale, uniformize
 
 DEFAULT_TRUNCATION_ERROR = 1e-10
 
@@ -73,6 +73,11 @@ def log_factorials(kmax: int) -> np.ndarray:
     return table[: kmax + 1]
 
 
+def _poisson_pmf(mu: float, K: int) -> np.ndarray:
+    """``exp(-mu + k ln(mu) - lgamma(k+1))`` for k = 0..K (mu > 0)."""
+    return np.exp(-mu + np.arange(K + 1) * math.log(mu) - log_factorials(K))
+
+
 def poisson_weights(mu: float, tol: float) -> np.ndarray:
     """Poisson(mu) weights for k = 0..K with total mass >= 1 - tol.
 
@@ -87,14 +92,13 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
     if mu == 0.0:
         return np.ones(1)
     K = int(math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 30.0))
-    log_mu = math.log(mu)
     last = None
     while True:
         if K > MAX_TERMS:
             raise ValueError(
                 f"Poisson({mu!r}) weights for tol={tol!r} need more than {MAX_TERMS} terms"
             )
-        w = np.exp(-mu + np.arange(K + 1) * log_mu - log_factorials(K))
+        w = _poisson_pmf(mu, K)
         cum = np.cumsum(w)
         if cum[-1] >= 1.0 - tol:
             stop = int(np.searchsorted(cum, 1.0 - tol)) + 1
@@ -163,6 +167,13 @@ def step_reach(D: Ctmc, s: int | str | None, k: int) -> float:
     return float(next(itertools.islice(_powers(D.P, start), k, None))[g])
 
 
+def _absorption_solve(M: Ctmc, T: list[int], b: np.ndarray) -> float:
+    """``x[initial]`` for ``(I - P[T, T]) x = b``; ``T`` is sorted and holds
+    the initial state."""
+    x = np.linalg.solve(np.eye(len(T)) - M.P[np.ix_(T, T)], b)
+    return float(x[T.index(M.initial)])
+
+
 def reach_prob(M: Ctmc) -> float:
     """Probability of ever reaching the goal state (untimed)."""
     g = M.goal_state()
@@ -172,11 +183,7 @@ def reach_prob(M: Ctmc) -> float:
     if M.initial not in can:
         return 0.0
     T = sorted(can - {g})
-    pos = {s: i for i, s in enumerate(T)}
-    A = np.eye(len(T)) - M.P[np.ix_(T, T)]
-    b = M.P[T, g]
-    x = np.linalg.solve(A, b)
-    return float(x[pos[M.initial]])
+    return _absorption_solve(M, T, M.P[T, g])
 
 
 @dataclass(frozen=True)
@@ -218,10 +225,7 @@ def expected_hit_steps(M: Ctmc) -> float:
     T = sorted(reachable - {g})
     if not T:
         return 0.0
-    pos = {s: i for i, s in enumerate(T)}
-    A = np.eye(len(T)) - M.P[np.ix_(T, T)]
-    x = np.linalg.solve(A, np.ones(len(T)))
-    return float(x[pos[M.initial]])
+    return _absorption_solve(M, T, np.ones(len(T)))
 
 
 def diff_curve(M: Ctmc, c: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
@@ -311,7 +315,7 @@ def simulate_paths(
     g = M.goal_state()
     rng = np.random.default_rng(seed)
     cum = np.cumsum(M.P, axis=1)
-    absorbing = np.diag(M.P) >= 1.0 - ABSORBING_EPS
+    absorbing = _absorbing_states(M.P)
 
     state = np.full(n, M.initial)
     clock = np.zeros(n)
