@@ -533,6 +533,8 @@ def check_quasi_lumpability(M: Ctmc, partition: Partition, tau: float) -> bool:
     (plus 1e-12 of slack)."""
     if partition.n != M.n:
         raise ValueError("partition does not cover the chain")
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be nonnegative, got {tau!r}")
     for block in partition.blocks:
         members = sorted(block)
         for target in partition.blocks:

@@ -296,7 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     def add_tol(sp):
-        sp.add_argument("--tol", type=_POSITIVE, default=1e-9, help="truncation tolerance (> 0)")
+        sp.add_argument("--tol", type=_POSITIVE, default=1e-9,
+                        help="truncation tolerance (> 0); on bounds, pn and spectral-report"
+                        " also the largest decomposition residual accepted")
 
     sp = sub.add_parser("check-bisim", help="compute the relation and check the initial states")
     add_model(sp)

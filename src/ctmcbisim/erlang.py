@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonUniformRates, NotApplicable, TruncationLimit
 from .model import Ctmc
-from .transient import MAX_TERMS, _poisson_pmf, expected_hit_steps, hit_exact_steps
+from .transient import MAX_TERMS, _lengths, _poisson_pmf, expected_hit_steps, hit_exact_steps
 
 
 def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
@@ -101,7 +101,7 @@ def erlang_diff_argmax(n: int, c: float) -> float:
 
 def uniformization_bound(eps: float, delta: float, q: float, t: float) -> float:
     """Time-uniform bound 1 - e^{-q t (e^delta (1+eps) - 1)}."""
-    if eps < 0.0 or delta < 0.0 or q < 0.0 or t < 0.0:
+    if not (eps >= 0.0 and q >= 0.0 and t >= 0.0) or delta < 0.0:
         raise ValueError("eps, delta, q, t must all be nonnegative")
     return 1.0 - math.exp(-q * t * (rate_factor(delta) * (1.0 + eps) - 1.0))
 
@@ -122,6 +122,8 @@ class ParetoRegion:
     def __post_init__(self):
         if not (0.0 <= self.theta < 1.0):
             raise ValueError("theta must lie in [0, 1)")
+        if not (0.0 < self.q < math.inf and 0.0 < self.t < math.inf):
+            raise ValueError("q and t must each be positive and finite")
         if not 0.0 < self.q * self.t < math.inf:
             raise ValueError("q*t must be positive and finite")
 
@@ -207,17 +209,13 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     ts = [float(t) for t in t_grid]
     if delta == 0.0 or not any(ts):
         return np.zeros(len(ts))
-    K = min(64, MAX_TERMS)
-    while True:
+    for K in _lengths(64, MAX_TERMS):
         hits = hit_exact_steps(M, K)
         if hits.tail_mass < tol:
-            break
-        if K >= MAX_TERMS:
-            raise TruncationLimit(
-                f"hit mass {hits.tail_mass:g} is still >= tol={tol!r} after {K} steps (MAX_TERMS={MAX_TERMS})"
-            )
-        K = min(2 * K, MAX_TERMS)
-    return gap_curve(c, r, ts, [(1.0, hits.probs)])
+            return gap_curve(c, r, ts, [(1.0, hits.probs)])
+    raise TruncationLimit(
+        f"hit mass {hits.tail_mass:g} is still >= tol={tol!r} after {K} steps (MAX_TERMS={MAX_TERMS})"
+    )
 
 
 def exact_diff_series(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> float:
@@ -249,15 +247,13 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
             continue
         teff = r * t
         total = teff * (c - 1.0)
-        K = min(256, MAX_TERMS)
-        while True:
+        for K in _lengths(256, MAX_TERMS):
             diffs = erlang_diff_prefix(c, teff, K)
             partial = float(np.dot(diffs[1:], 1.0 / np.arange(1.0, K + 1.0)))
             tail = max(0.0, total - float(diffs[1:].sum())) / (K + 1.0)
-            if ex * tail < tol or K >= MAX_TERMS:
-                out[i] = min(1.0, ex * (partial + tail))
+            if ex * tail < tol:
                 break
-            K = min(2 * K, MAX_TERMS)
+        out[i] = min(1.0, ex * (partial + tail))
     return out
 
 

@@ -30,12 +30,13 @@ from .errors import (
     NotAcyclic,
     NumericalFailure,
     SpectralGapZero,
+    TruncationLimit,
     WrongKind,
 )
 from . import graph
 from .model import Ctmc, _absorbing_states, normalize_goal, prune_unreachable
 from .pairuniform import uniformize_pair
-from .transient import MAX_TERMS, hit_exact_steps
+from .transient import MAX_TERMS, _lengths, hit_exact_steps
 
 #: eigenvalues closer than this are treated as one (defective) eigenvalue
 CLUSTER_TOL = 1e-7
@@ -398,10 +399,10 @@ def _diag_bound_from(sd: SpectralData, rate: float, c: float, t_grid, tol: float
         raise SpectralGapZero(f"second eigenvalue modulus {lam} leaves no decay margin")
     C = float(np.max(np.abs(_diag_coefs(sd))))
 
-    K = 64
-    while trans * C * lam**K / (1.0 - lam) >= tol and K < MAX_TERMS:
-        K *= 2
-    tail = trans * C * lam**K / (1.0 - lam)
+    for K in _lengths(64, MAX_TERMS):
+        tail = trans * C * lam**K / (1.0 - lam)
+        if tail < tol:
+            break
     return np.fmin(1.0, gap_curve(c, rate, t_grid, [(trans * C, lam ** np.arange(K))], tail))
 
 
@@ -430,40 +431,37 @@ def _jordan_bound_from(sd: SpectralData, rate: float, c: float, t_grid, tol: flo
     # eigenvalue envelope C * k^{r-1} lam^{k-r} beyond it
     head = np.array([max(0.0, pn_jordan(sd, k)) for k in range(1, R + 1)])
     log_lam = math.log(lam)
-
-    def envelope(k: float) -> float:
-        return math.exp((r_reg - 1) * math.log(k) + (k - r_reg) * log_lam)
-
-    K = max(2 * R + 2, 256)
-    while True:
+    for K in _lengths(max(2 * R + 2, 256), MAX_TERMS):
         rho = lam * ((K + 2) / (K + 1)) ** (r_reg - 1)
-        if rho < 1.0:
-            tail = C * envelope(K + 1) / (1.0 - rho)
-            if tail < tol or K >= MAX_TERMS:
-                break
-        K *= 2
+        envelope = math.exp((r_reg - 1) * math.log(K + 1) + (K + 1 - r_reg) * log_lam)
+        tail = C * envelope / (1.0 - rho) if rho < 1.0 else math.inf
+        if tail < tol:
+            break
+    if tail == math.inf:
+        raise TruncationLimit(f"the envelope ratio {rho:g} is still >= 1 after {K} steps (MAX_TERMS={MAX_TERMS})")
     ks = np.arange(R + 1, K + 1, dtype=float)
     envs = np.exp((r_reg - 1) * np.log(ks) + (ks - r_reg) * log_lam)
     return np.fmin(1.0, gap_curve(c, rate, t_grid, [(1.0, head), (C, envs)], tail))
 
 
 def diag_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
-    """Gap bound from the diagonal factorization: per grid time,
-    ``(n - a_P) C sum_k lam^{k-1} erlang_diff(k, e^delta, r t)`` plus a
+    """Gap bound from the diagonal factorization (within ``tol``): per grid
+    time, ``(n - a_P) C sum_k lam^{k-1} erlang_diff(k, e^delta, r t)`` plus a
     certified geometric tail (added, so the result stays an upper bound)."""
     c, Mn, rate = _prepare(M, delta)
-    sd = decompose(Mn.P)
+    sd = decompose(Mn.P, tol)
     if sd.kind != "diag":
         raise WrongKind("the jump matrix is not diagonalizable")
     return _diag_bound_from(sd, rate, c, t_grid, tol)
 
 
 def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
-    """Gap bound from the block factorization: exact step probabilities up
-    to the largest block size, then a ``C k^{r-1} lam^{k-r}`` envelope with
-    a certified ratio-test tail (added)."""
+    """Gap bound from the block factorization (within ``tol``): exact step
+    probabilities up to the largest block size, then a ``C k^{r-1} lam^{k-r}``
+    envelope with a certified ratio-test tail (added).  Raises
+    :class:`TruncationLimit` when no tail is certified by ``MAX_TERMS`` steps."""
     c, Mn, rate = _prepare(M, delta)
-    sd = as_jordan(decompose(Mn.P))
+    sd = as_jordan(decompose(Mn.P, tol))
     return _jordan_bound_from(sd, rate, c, t_grid, tol)
 
 

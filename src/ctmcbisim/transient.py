@@ -31,6 +31,12 @@ DEFAULT_TRUNCATION_ERROR = 1e-10
 MAX_TERMS = 1 << 22
 
 
+def _lengths(first: int, cap: int) -> list[int]:
+    """The lengths a truncated series tries, shortest first: ``first``,
+    ``2 first``, ``4 first``, ... below ``cap``, then ``cap`` itself."""
+    return sorted({min(first << j, cap) for j in range(cap.bit_length() + 1)})
+
+
 def _check_horizon(horizon: float) -> None:
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
@@ -315,6 +321,8 @@ def simulate_paths(
     g = M.goal_state()
     rng = np.random.default_rng(seed)
     cum = np.cumsum(M.P, axis=1)
+    # a draw above a row's rounded sum goes to the row's last positive column
+    last = M.n - 1 - np.argmax(M.P[:, ::-1] > 0.0, axis=1)
     absorbing = _absorbing_states(M.P)
 
     state = np.full(n, M.initial)
@@ -349,7 +357,7 @@ def simulate_paths(
             if idx.size == 0:
                 continue
         u = rng.random(idx.size)
-        nxt = np.minimum(_next_states(cum, s, u), M.n - 1)
+        nxt = np.minimum(_next_states(cum, s, u), last[s])
         state[idx] = nxt
         arrived = nxt == g
         if arrived.any():

@@ -85,7 +85,7 @@ def simulate_paths_oracle(
                 continue
         u = rng.random(idx.size)
         nxt = (cum[s] < u[:, None]).sum(axis=1)
-        nxt = np.minimum(nxt, M.n - 1)
+        nxt = np.minimum(nxt, M.n - 1 - np.argmax(M.P[s, ::-1] > 0.0, axis=1))
         state[idx] = nxt
         arrived = nxt == g
         if arrived.any():
