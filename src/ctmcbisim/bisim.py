@@ -9,6 +9,18 @@ boundary instances where the optimum equals ``1 - eps`` exactly cannot
 flap; a tolerance ``eta`` absorbs only the rounding already present in
 the inputs.
 
+The greatest fixpoint first bounds every candidate pair in numpy.  Let Q
+be the connected components of the relation R at a sweep's start: an
+equivalence containing R, so a flow along R moves mass only within the
+classes of Q, and no flow exceeds ``sum_C min(P(s, C), P(t, C))`` (the
+class-wise lifting of Jonsson & Larsen, LICS 1991; the flow form of the
+check is Baier, Engelen & Majster-Cederbaum, JCSS 2000).  A pair whose
+bound is below the threshold fails its flow check in both orientations,
+and is dropped with no flow solved.  The float bound is used only when it
+clears the exact threshold by a margin that covers its rounding (see
+``_mass_cutoff``); the pairs near the threshold go to the exact flow, so
+every sweep drops the same pairs as without the bound.
+
 Included: pair checks and witness couplings, the greatest-fixpoint
 relation at (eps, delta), strong bisimulation by partition refinement,
 quasi-lumpability, and the product ("split") construction that factors a
@@ -20,7 +32,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +45,8 @@ from .model import Ctmc, _expect, _number, direct_sum
 
 FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
+#: most cells of one pairs x classes temporary of the class-mass bound
+FILTER_CELLS = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -401,6 +417,53 @@ def _initial_related(M: Ctmc, delta: float) -> list[set[int]]:
     return [set(np.flatnonzero(row).tolist()) for row in ok]
 
 
+def _mass_cutoff(threshold: tuple[int, int], n: int) -> float:
+    """The largest float ``c`` with ``c <= thr * (1 - gamma_2n)``, where
+    ``thr`` is the exact ``threshold`` and ``gamma_m = m u / (1 - m u)``
+    with ``u = 2**-53`` (0.0 when ``thr <= 0``, where every pair passes).
+
+    A computed class-mass bound below ``c`` proves an exact bound below
+    ``thr``.  Write ``c_C`` for the exact ``P(s, C)``.  Its float ``P @
+    onehot`` sums n terms, each product with 0 or 1 exact, so in any
+    summation order ``(1 - gamma_{n-1}) c_C <= fl(c_C)``; ``min`` keeps
+    that, and the float sum of the k <= n class minima loses at most
+    another factor ``1 - gamma_{k-1}``.  So the float bound is at least
+    ``(1 - gamma_{n-1}) (1 - gamma_{k-1}) >= 1 - gamma_2n`` times the exact
+    one, and the margin ``thr - c`` is ``thr * gamma_2n`` plus the rounding
+    of ``c`` down to a float.
+    """
+    thr, exp = threshold
+    if thr <= 0:
+        return 0.0
+    mu = Fraction(2 * n, 1 << 53)
+    exact = Fraction(thr, 1 << exp) * (1 - 2 * mu) / (1 - mu)
+    cut = float(exact)  # correctly rounded
+    return cut if Fraction(cut) <= exact else math.nextafter(cut, 0.0)
+
+
+def _mass_rejects(P: np.ndarray, related: list[set[int]], todo: list[tuple[int, int]], cut: float) -> np.ndarray:
+    """For each pair of ``todo``, whether its class-mass bound over the
+    connected components of ``related`` is below ``cut``: such a pair
+    fails its flow check in both orientations.  The pairs x classes
+    temporaries hold at most ``FILTER_CELLS`` cells each."""
+    n = len(related)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum([len(r) for r in related], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(related), dtype=np.intp, count=int(indptr[-1]))
+    classes = graph.components((indptr, indices))
+    onehot = np.zeros((n, len(classes)))
+    for c, members in enumerate(classes):
+        onehot[members, c] = 1.0
+    mass = P @ onehot
+    pairs = np.fromiter(chain.from_iterable(todo), dtype=np.intp, count=2 * len(todo)).reshape(-1, 2)
+    out = np.empty(len(pairs), dtype=bool)
+    step = max(1, FILTER_CELLS // len(classes))
+    for i in range(0, len(pairs), step):
+        s, t = pairs[i : i + step].T
+        out[i : i + step] = np.minimum(mass[s], mass[t]).sum(axis=1) < cut
+    return out
+
+
 def _sweeps(M: Ctmc, related: list[set[int]], eps: float, eta: float):
     """Shrink ``related`` (per-state related sets) in place to the greatest
     fixpoint, one sweep at a time, and yield each sweep's checked and
@@ -411,9 +474,19 @@ def _sweeps(M: Ctmc, related: list[set[int]], eps: float, eta: float):
     checks every pair; a later one only the pairs ``(s, t)`` with a pair
     ``(a, b)`` dropped by the sweep before, ``a`` a successor of ``s`` and
     ``b`` one of ``t``: no other pair's network has changed.
+
+    Before any flow, a sweep bounds its pairs by class mass over the
+    components of the relation as of its start (``_mass_rejects``).  Any
+    flow along the relation stays within those classes, so a pair whose
+    float bound is below ``_mass_cutoff`` (the exact threshold less a
+    margin for the rounding of the bound) fails both orientations, and it
+    is dropped with no flow solved.  Every other pair gets the exact flow
+    check, so each sweep checks and drops the same pairs as with the flow
+    check alone.
     """
     rows = [_row(M, s) for s in range(M.n)]
     threshold = _threshold(eps, eta)
+    cut = _mass_cutoff(threshold, M.n)
     indptr, indices = M.pred
     pred = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(M.n)]
 
@@ -423,7 +496,11 @@ def _sweeps(M: Ctmc, related: list[set[int]], eps: float, eta: float):
 
     todo = [(s, t) for s in range(M.n) for t in sorted(related[s]) if s < t]
     while todo:
-        drop = [(s, t) for s, t in todo if not (passes(s, t) and passes(t, s))]
+        fails = _mass_rejects(M.P, related, todo, cut)
+        for i in np.flatnonzero(~fails).tolist():
+            s, t = todo[i]
+            fails[i] = not (passes(s, t) and passes(t, s))
+        drop = list(compress(todo, fails.tolist()))
         for s, t in drop:
             related[s].discard(t)
             related[t].discard(s)

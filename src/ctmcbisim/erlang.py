@@ -100,10 +100,15 @@ def erlang_diff_argmax(n: int, c: float) -> float:
 
 
 def uniformization_bound(eps: float, delta: float, q: float, t: float) -> float:
-    """Time-uniform bound 1 - e^{-q t (e^delta (1+eps) - 1)}."""
+    """Time-uniform bound 1 - e^{-q t (e^delta (1+eps) - 1)}; 0.0 when q t
+    or e^delta (1+eps) - 1 is 0, even if the other factor is infinite."""
     if not (eps >= 0.0 and q >= 0.0 and t >= 0.0) or delta < 0.0:
         raise ValueError("eps, delta, q, t must all be nonnegative")
-    return 1.0 - math.exp(-q * t * (rate_factor(delta) * (1.0 + eps) - 1.0))
+    qt = 0.0 if q == 0.0 or t == 0.0 else q * t  # inf * 0 is NaN
+    growth = rate_factor(delta) * (1.0 + eps) - 1.0
+    if qt == 0.0 or growth == 0.0:
+        return 0.0
+    return 1.0 - math.exp(-qt * growth)
 
 
 @dataclass(frozen=True)

@@ -321,7 +321,9 @@ def simulate_paths(
     g = M.goal_state()
     rng = np.random.default_rng(seed)
     cum = np.cumsum(M.P, axis=1)
-    # a draw above a row's rounded sum goes to the row's last positive column
+    # a draw above a row's rounded sum goes to the row's last positive
+    # column, and a draw of 0.0 to its first
+    first = np.argmax(M.P > 0.0, axis=1)
     last = M.n - 1 - np.argmax(M.P[:, ::-1] > 0.0, axis=1)
     absorbing = _absorbing_states(M.P)
 
@@ -357,7 +359,7 @@ def simulate_paths(
             if idx.size == 0:
                 continue
         u = rng.random(idx.size)
-        nxt = np.minimum(_next_states(cum, s, u), last[s])
+        nxt = np.clip(_next_states(cum, s, u), first[s], last[s])
         state[idx] = nxt
         arrived = nxt == g
         if arrived.any():

@@ -2,8 +2,11 @@
 
 - A NaN or negative tolerance, rate or horizon is rejected, not turned
   into a NaN result or a vacuous True.
+- A time-uniform bound with a zero factor in its exponent is 0.0, even
+  when the other factor is infinite.
 - A uniform draw above the rounded sum of a jump-matrix row goes to that
-  row's last positive column, never to a state the row cannot reach.
+  row's last positive column, and a draw of 0.0 to its first positive
+  column, never to a state the row cannot reach.
 """
 
 from __future__ import annotations
@@ -45,6 +48,31 @@ def test_time_uniform_bounds_reject_nan(bound, at):
         bound(*args)
 
 
+@pytest.mark.parametrize(
+    "eps, delta, q, t",
+    [(math.inf, 0.0, 1.0, 0.0), (0.1, 0.0, math.inf, 0.0), (0.0, 0.0, math.inf, 1.0)],
+)
+def test_a_zero_factor_of_the_exponent_gives_a_zero_bound(eps, delta, q, t):
+    # q t, or e^delta (1 + eps) - 1, is 0 while the other factor is infinite
+    assert uniformization_bound(eps, delta, q, t) == 0.0
+
+
+def test_finite_bounds_keep_their_bits():
+    def old(eps, delta, q, t):
+        return 1.0 - math.exp(-q * t * (math.exp(delta) * (1.0 + eps) - 1.0))
+
+    grid = [0.0, 1e-300, 1e-9, 0.05, 0.1, 1.0, 3.7, 1e3, 1e300]
+    for eps in grid:
+        for delta in [0.0, 1e-12, 0.1, 1.0, 50.0]:
+            for q in grid:
+                for t in grid:
+                    got, want = uniformization_bound(eps, delta, q, t), old(eps, delta, q, t)
+                    if math.isnan(want):  # one factor is 0, the other overflowed
+                        assert got == 0.0 and 0.0 in (q * t, math.exp(delta) * (1.0 + eps) - 1.0)
+                    else:
+                        assert got.hex() == want.hex(), (eps, delta, q, t)
+
+
 # ---------------------------------------------------------------- the draw
 
 
@@ -76,3 +104,24 @@ def test_a_draw_above_the_row_sum_stays_in_the_row(monkeypatch):
     # every path jumps to the absorbing "b" and stops there
     assert res.hits == 0
     assert res == simulate_paths_oracle(M, 5, 10.0, 0)
+
+
+class _ZeroDraws(_TopDraws):
+    """As ``_TopDraws``, but every uniform draw is 0.0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_a_zero_draw_stays_in_the_row(monkeypatch):
+    # the goal is state 0, which "a" cannot reach
+    M = make_ctmc(
+        [("g", ("g",), 1.0), ("a", (), 1.0), ("b", (), 1.0)],
+        [("g", "g", 1.0), ("a", "b", 1.0), ("b", "b", 1.0)],
+        initial="a",
+        goal=("g",),
+    )
+    assert M.goal_state() == 0
+    monkeypatch.setattr(np.random, "default_rng", _ZeroDraws)
+    res = simulate_paths(M, 3, 10.0, 0)
+    assert res.hits == 0
