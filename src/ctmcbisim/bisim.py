@@ -34,8 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +51,13 @@ FILTER_CELLS = 1 << 16
 # --------------------------------------------------------------------------
 # relations and partitions
 # --------------------------------------------------------------------------
+
+
+def _check_tolerances(eps: float, delta: float) -> None:
+    """ValueError naming ``eps`` or ``delta`` unless it is finite and >= 0."""
+    for name, value in (("eps", eps), ("delta", delta)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def reflexive_symmetric_closure(pairs: Iterable[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
@@ -72,6 +78,7 @@ class PairRelation:
     delta: float
 
     def __post_init__(self):
+        _check_tolerances(self.eps, self.delta)
         for s in range(self.n):
             if (s, s) not in self.pairs:
                 raise ValueError(f"relation is not reflexive: missing ({s},{s})")
@@ -98,6 +105,14 @@ class PairRelation:
             related[s].add(t)
         return tuple(frozenset(r) for r in related)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only boolean matrix: ``matrix[s, t]`` holds when ``(s, t)`` is related."""
+        related = np.zeros((self.n, self.n), dtype=bool)
+        related[tuple(zip(*self.pairs))] = True
+        related.flags.writeable = False
+        return related
+
     def related_to(self, s: int) -> frozenset[int]:
         return self.adjacency[s]
 
@@ -110,9 +125,7 @@ class PairRelation:
 
     def _components(self) -> list[list[int]]:
         """Connected components of the relation's graph, by smallest state."""
-        related = np.zeros((self.n, self.n), dtype=bool)
-        related[tuple(np.array(list(self.pairs), dtype=np.intp).reshape(-1, 2).T)] = True
-        return graph.components(graph.csr(related))
+        return graph.components(graph.csr(self.matrix))
 
     def transitive_closure(self) -> "PairRelation":
         pairs = frozenset((s, t) for block in self._components() for s in block for t in block)
@@ -211,13 +224,13 @@ class _Flow(NamedTuple):
 
 
 def _max_flow(
-    row_s: _Row, row_t: _Row, related: Sequence[AbstractSet[int]], threshold: tuple[int, int], stop: bool = False
+    row_s: _Row, row_t: _Row, related: np.ndarray, threshold: tuple[int, int], stop: bool = False
 ) -> _Flow:
     """Edmonds–Karp on the transportation network of a pair: source ->
     ``succ_s[i]`` (capacity its probability) -> related ``succ_t[j]``
     (unbounded) -> sink (capacity its probability).
 
-    ``related[a]`` is the set of states related to ``a``.  Each
+    ``related`` is the boolean relation matrix.  Each
     breadth-first search queues the ``succ_s`` nodes with supply left, in
     order, then scans a ``succ_s`` node's edges in ``succ_t`` order and a
     ``succ_t`` node's sink edge before its reverse edges; the edge flows
@@ -233,10 +246,11 @@ def _max_flow(
     demand = [c << (exp - exp_t) for c in cap_t]
     unbounded = 2 << exp  # any flow is <= 1, so capacity 2 never binds
     m = len(succ_s)
-    col = {b: j for j, b in enumerate(succ_t)}
-    targets = set(succ_t)
-    # succ_t ascends, so the related successors in order give columns in order
-    nbr = [[col[b] for b in sorted(related[a] & targets)] for a in succ_s]
+    # nbr[i]: the columns j with succ_s[i] related to succ_t[j], in order
+    nbr: list[list[int]] = [[] for _ in succ_s]
+    ii, jj = related.take(succ_s, axis=0).take(succ_t, axis=1).nonzero()
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        nbr[i].append(j)
     flow = [dict.fromkeys(js, 0) for js in nbr]
     total = 0
     # The search finds the paths source -> i -> j -> sink first, in this
@@ -314,7 +328,7 @@ def _related_mass(f: _Flow) -> float:
 def pair_flow_value(D: Ctmc, R: PairRelation, s: int, t: int) -> float:
     """The maximum mass placeable on related successor pairs (exactly
     ``1 - (smallest feasible eps)`` by LP duality)."""
-    return _related_mass(_max_flow(_row(D, s), _row(D, t), R.adjacency, (0, 0)))
+    return _related_mass(_max_flow(_row(D, s), _row(D, t), R.matrix, (0, 0)))
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +372,7 @@ def extract_coupling(
     """Max-flow transport on related pairs, completed to exact marginals
     by northwest-corner filling of the leftover supplies/demands."""
     row_s, row_t = _row(D, s), _row(D, t)
-    f = _max_flow(row_s, row_t, R.adjacency, _threshold(eps, eta))
+    f = _max_flow(row_s, row_t, R.matrix, _threshold(eps, eta))
     if f.value < f.target:
         raise PairNotRelated(
             f"flow {_related_mass(f):.12g} < 1 - eps for pair ({s},{t}); cannot extract a coupling"
@@ -404,9 +418,9 @@ def extract_coupling(
 # --------------------------------------------------------------------------
 
 
-def _initial_related(M: Ctmc, delta: float) -> list[set[int]]:
-    """Per-state sets of the states with the same labels and rewards and
-    an exit rate within a factor e^delta."""
+def _initial_related(M: Ctmc, delta: float) -> np.ndarray:
+    """The boolean matrix of the pairs of states with the same labels and
+    rewards and exit rates within a factor e^delta."""
     lnE = np.log(M.E)
     codes = {ls: k for k, ls in enumerate(set(M.label_sets))}
     label = np.array([codes[ls] for ls in M.label_sets])
@@ -414,7 +428,7 @@ def _initial_related(M: Ctmc, delta: float) -> list[set[int]]:
     ok = (label[:, None] == label[None, :]) & ~(np.abs(lnE[:, None] - lnE[None, :]) > delta + DELTA_SLACK)
     if M.rewards is not None:
         ok &= M.rewards[:, None] == M.rewards[None, :]
-    return [set(np.flatnonzero(row).tolist()) for row in ok]
+    return ok
 
 
 def _mass_cutoff(threshold: tuple[int, int], n: int) -> float:
@@ -441,33 +455,37 @@ def _mass_cutoff(threshold: tuple[int, int], n: int) -> float:
     return cut if Fraction(cut) <= exact else math.nextafter(cut, 0.0)
 
 
-def _mass_rejects(P: np.ndarray, related: list[set[int]], todo: list[tuple[int, int]], cut: float) -> np.ndarray:
+def _mass_rejects(P: np.ndarray, related: np.ndarray, todo: np.ndarray, cut: float) -> np.ndarray:
     """For each pair of ``todo``, whether its class-mass bound over the
     connected components of ``related`` is below ``cut``: such a pair
     fails its flow check in both orientations.  The pairs x classes
     temporaries hold at most ``FILTER_CELLS`` cells each."""
-    n = len(related)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum([len(r) for r in related], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(related), dtype=np.intp, count=int(indptr[-1]))
-    classes = graph.components((indptr, indices))
-    onehot = np.zeros((n, len(classes)))
+    classes = graph.components(graph.csr(related))
+    onehot = np.zeros((len(related), len(classes)))
     for c, members in enumerate(classes):
         onehot[members, c] = 1.0
     mass = P @ onehot
-    pairs = np.fromiter(chain.from_iterable(todo), dtype=np.intp, count=2 * len(todo)).reshape(-1, 2)
-    out = np.empty(len(pairs), dtype=bool)
+    out = np.empty(len(todo), dtype=bool)
     step = max(1, FILTER_CELLS // len(classes))
-    for i in range(0, len(pairs), step):
-        s, t = pairs[i : i + step].T
+    for i in range(0, len(todo), step):
+        s, t = todo[i : i + step].T
         out[i : i + step] = np.minimum(mass[s], mass[t]).sum(axis=1) < cut
     return out
 
 
-def _sweeps(M: Ctmc, related: list[set[int]], eps: float, eta: float):
-    """Shrink ``related`` (per-state related sets) in place to the greatest
-    fixpoint, one sweep at a time, and yield each sweep's checked and
-    dropped pairs ``s < t``.
+def _into_preds(pred: graph.Index, X: np.ndarray) -> np.ndarray:
+    """Row ``v`` of the result: the union of the rows ``X[a]`` over the successors ``a`` of ``v``."""
+    indptr, indices = pred
+    out = np.zeros(X.shape, dtype=bool)
+    for a in np.flatnonzero(X.any(axis=1)).tolist():
+        out[indices[indptr[a] : indptr[a + 1]]] |= X[a]
+    return out
+
+
+def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
+    """Shrink the boolean relation matrix ``related`` in place to the
+    greatest fixpoint, one sweep at a time, and yield each sweep's checked
+    and dropped pairs ``s < t`` as ``(k, 2)`` arrays in row-major order.
 
     A sweep checks its pairs against the relation as of its start and
     then drops the ones failing in either orientation.  The first sweep
@@ -487,31 +505,25 @@ def _sweeps(M: Ctmc, related: list[set[int]], eps: float, eta: float):
     rows = [_row(M, s) for s in range(M.n)]
     threshold = _threshold(eps, eta)
     cut = _mass_cutoff(threshold, M.n)
-    indptr, indices = M.pred
-    pred = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(M.n)]
 
     def passes(s: int, t: int) -> bool:
         f = _max_flow(rows[s], rows[t], related, threshold, stop=True)
         return f.value >= f.target
 
-    todo = [(s, t) for s in range(M.n) for t in sorted(related[s]) if s < t]
-    while todo:
+    todo = np.argwhere(np.triu(related, 1))
+    while len(todo):
         fails = _mass_rejects(M.P, related, todo, cut)
-        for i in np.flatnonzero(~fails).tolist():
-            s, t = todo[i]
+        kept = np.flatnonzero(~fails)
+        for i, (s, t) in zip(kept.tolist(), todo[kept].tolist()):
             fails[i] = not (passes(s, t) and passes(t, s))
-        drop = list(compress(todo, fails.tolist()))
-        for s, t in drop:
-            related[s].discard(t)
-            related[t].discard(s)
+        drop = todo[fails]
+        related[drop[:, 0], drop[:, 1]] = related[drop[:, 1], drop[:, 0]] = False
         yield todo, drop
-        # hit[a]: the states with a successor b such that (a, b) was dropped
-        hit: dict[int, set[int]] = {}
-        for a, b in drop:
-            hit.setdefault(a, set()).update(pred[b])
-        todo = sorted(
-            {(min(s, t), max(s, t)) for a, ts in hit.items() for s in pred[a] for t in ts & related[s] if s != t}
-        )
+        dropped = np.zeros_like(related)
+        dropped[drop[:, 0], drop[:, 1]] = True
+        # touched[s, t]: s -> b and t -> a for a pair (a, b) just dropped
+        touched = _into_preds(M.pred, _into_preds(M.pred, dropped).T)
+        todo = np.argwhere(np.triu((touched | touched.T) & related, 1))
 
 
 def epsilon_delta_bisim(M: Ctmc, eps: float, delta: float, eta: float = FLOW_ETA) -> PairRelation:
@@ -520,11 +532,11 @@ def epsilon_delta_bisim(M: Ctmc, eps: float, delta: float, eta: float = FLOW_ETA
     stable.  Deletions are batched per sweep: every check in a sweep runs
     against the relation as of the sweep's start.
     """
+    _check_tolerances(eps, delta)
     related = _initial_related(M, delta)
     for _ in _sweeps(M, related, eps, eta):
         pass
-    pairs = frozenset((s, t) for s in range(M.n) for t in related[s])
-    return PairRelation(n=M.n, pairs=pairs, eps=eps, delta=delta)
+    return PairRelation(n=M.n, pairs=frozenset(map(tuple, np.argwhere(related).tolist())), eps=eps, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -557,7 +569,7 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
         if gap > R.delta + DELTA_SLACK:
             return RelationCheck(False, (s, t), "delta", f"|ln E(s) - ln E(t)| = {gap:.12g}")
         for a, b in ((s, t), (t, s)):
-            f = _max_flow(rows[a], rows[b], R.adjacency, threshold, stop=True)
+            f = _max_flow(rows[a], rows[b], R.matrix, threshold, stop=True)
             if f.value < f.target:
                 return RelationCheck(
                     False,

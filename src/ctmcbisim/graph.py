@@ -4,9 +4,12 @@ entries of a matrix.
 Graphs are given as a compressed sparse row index ``(indptr, indices)``:
 the neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``, in
 ascending order.  A chain builds this index once for its jump graph
-(``Ctmc.succ``) and once for the reversed graph (``Ctmc.pred``);
-``components`` groups nearby eigenvalues in ``spectral.decompose`` and the
-states of a relation in ``bisim.PairRelation``.
+(``Ctmc.succ``) and once for the reversed graph (``Ctmc.pred``, which also
+gives the relation fixpoint its worklist).  A relation is an n x n boolean
+matrix, and ``csr`` of it is the relation's graph: ``components`` of that
+graph are the classes of each sweep's class-mass bound and of
+``bisim.PairRelation``; ``components`` also groups nearby eigenvalues in
+``spectral.decompose``.
 """
 
 from __future__ import annotations

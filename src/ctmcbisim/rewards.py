@@ -114,7 +114,9 @@ def hat_transform(M: Ctmc) -> Ctmc:
     for s in range(M.n):
         if rewards[s] == 0.0:
             raise ZeroReward(s)
-    return replace(M, E=M.E / rewards, rewards=None, rate_exprs=None)
+    with np.errstate(over="ignore"):  # timed_reach rejects a rate that overflows to inf
+        E = M.E / rewards
+    return replace(M, E=E, rewards=None, rate_exprs=None)
 
 
 def reward_reach(M: Ctmc, s: int | str | None, r: float, tol: float = 1e-9) -> float:

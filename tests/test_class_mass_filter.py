@@ -30,6 +30,19 @@ from test_flow_kernel import replicated_blocks
 # --------------------------------------------------------------------------
 
 
+def _as_matrix(related: list[set[int]]) -> np.ndarray:
+    """The boolean matrix of per-state related sets."""
+    out = np.zeros((len(related), len(related)), dtype=bool)
+    for s, ts in enumerate(related):
+        out[s, list(ts)] = True
+    return out
+
+
+def _as_sets(related: np.ndarray) -> list[set[int]]:
+    """The per-state related sets of a boolean matrix."""
+    return [set(np.flatnonzero(row).tolist()) for row in related]
+
+
 def _sweeps_oracle(M: Ctmc, related: list[set[int]], eps: float, eta: float):
     """Shrink ``related`` (per-state related sets) in place to the greatest
     fixpoint, one sweep at a time, and yield each sweep's checked and
@@ -46,13 +59,14 @@ def _sweeps_oracle(M: Ctmc, related: list[set[int]], eps: float, eta: float):
     indptr, indices = M.pred
     pred = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(M.n)]
 
-    def passes(s: int, t: int) -> bool:
-        f = _max_flow(rows[s], rows[t], related, threshold, stop=True)
+    def passes(start: np.ndarray, s: int, t: int) -> bool:
+        f = _max_flow(rows[s], rows[t], start, threshold, stop=True)
         return f.value >= f.target
 
     todo = [(s, t) for s in range(M.n) for t in sorted(related[s]) if s < t]
     while todo:
-        drop = [(s, t) for s, t in todo if not (passes(s, t) and passes(t, s))]
+        start = _as_matrix(related)  # the relation as of the sweep's start
+        drop = [(s, t) for s, t in todo if not (passes(start, s, t) and passes(start, t, s))]
         for s, t in drop:
             related[s].discard(t)
             related[t].discard(s)
@@ -75,7 +89,8 @@ def _assert_same_fixpoint(M: Ctmc, eps: float, delta: float, eta: float = FLOW_E
     """Run the fixpoint with and without the filter and compare them sweep
     by sweep; check that every pair the filter rejects fails its flow in
     both orientations.  Returns (pairs rejected, pairs dropped)."""
-    related, expected = bisim._initial_related(M, delta), bisim._initial_related(M, delta)
+    related = bisim._initial_related(M, delta)
+    expected = _as_sets(related)
     want = list(_sweeps_oracle(M, expected, eps, eta))
     rows = [_row(M, s) for s in range(M.n)]
     threshold = _threshold(eps, eta)
@@ -84,13 +99,15 @@ def _assert_same_fixpoint(M: Ctmc, eps: float, delta: float, eta: float = FLOW_E
     rejected = 0
     sweeps = bisim._sweeps(M, related, eps, eta)
     while True:
-        start = [set(r) for r in related]  # the relation the sweep checks against
+        start = related.copy()  # the relation the sweep checks against
         try:
-            checked, dropped = next(sweeps)
+            checked_rows, dropped_rows = next(sweeps)
         except StopIteration:
             break
+        checked = [tuple(p) for p in checked_rows.tolist()]
+        dropped = [tuple(p) for p in dropped_rows.tolist()]
         got.append((checked, dropped))
-        rejects = bisim._mass_rejects(M.P, start, checked, cut)
+        rejects = bisim._mass_rejects(M.P, start, checked_rows, cut)
         for (s, t), out in zip(checked, rejects.tolist()):
             if out:
                 rejected += 1
@@ -99,7 +116,7 @@ def _assert_same_fixpoint(M: Ctmc, eps: float, delta: float, eta: float = FLOW_E
                     f = _max_flow(rows[a], rows[b], start, threshold)
                     assert f.value < f.target, (a, b)
     assert got == want
-    assert related == expected
+    assert np.array_equal(related, _as_matrix(expected))
     return rejected, sum(len(d) for _, d in want)
 
 
@@ -217,7 +234,9 @@ def test_drops_that_wait_for_a_successor_sweep_like_the_oracle(levels):
         _assert_same_fixpoint(M, eps, 0.0)
     sweeps = list(bisim._sweeps(M, bisim._initial_related(M, 0.0), 0.0, FLOW_ETA))
     t0 = levels + 1
-    assert [[p for p in d if p[1] - p[0] == t0] for _, d in sweeps] == [[(k, t0 + k)] for k in range(levels, -1, -1)]
+    assert [[tuple(p) for p in d.tolist() if p[1] - p[0] == t0] for _, d in sweeps] == [
+        [(k, t0 + k)] for k in range(levels, -1, -1)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +261,7 @@ def test_a_bound_at_the_threshold_reaches_the_kernel(eps, eta, at):
     assert f.value >= f.target
     assert (f.value == f.target) == (at == eta)
     cut = bisim._mass_cutoff(threshold, M.n)
-    assert not bisim._mass_rejects(M.P, related, [(0, 1)], cut)[0]
+    assert not bisim._mass_rejects(M.P, related, np.array([[0, 1]]), cut)[0]
     _assert_same_fixpoint(M, eps, 0.0, eta)
     assert (0, 1) in epsilon_delta_bisim(M, eps, 0.0, eta)
 

@@ -9,6 +9,7 @@ result of the library must equal the oracle's exactly: the relations, the
 coupling weights to the bit and the split-construction arrays.
 """
 
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -452,10 +453,14 @@ def test_worklist_rechecks_only_pairs_with_a_dropped_successor_pair(eps, seed):
     M = replicated_blocks(np.random.default_rng(seed), 8, 4, 0.1, 0.1)
     succ = [set(np.flatnonzero(M.P[s] > 0.0).tolist()) for s in range(M.n)]
     related = bisim._initial_related(M, 0.1)
-    sweeps = list(bisim._sweeps(M, related, eps, FLOW_ETA))
+    initial = related.copy()
+    sweeps = [
+        ([tuple(p) for p in c.tolist()], [tuple(p) for p in d.tolist()])
+        for c, d in bisim._sweeps(M, related, eps, FLOW_ETA)
+    ]
     assert len(sweeps) >= 2
     first, _ = sweeps[0]
-    assert first == sorted((s, t) for s in range(M.n) for t in bisim._initial_related(M, 0.1)[s] if s < t)
+    assert first == sorted((s, t) for s, t in np.argwhere(initial).tolist() if s < t)
     remaining = set(first)
     rechecked = resweep = 0
     for (_, dropped), (checked, _) in zip(sweeps, sweeps[1:]):
@@ -471,5 +476,18 @@ def test_worklist_rechecks_only_pairs_with_a_dropped_successor_pair(eps, seed):
         rechecked += len(checked)
         resweep += len(remaining)
     assert rechecked < resweep
-    final = frozenset((s, t) for s in range(M.n) for t in related[s])
+    final = frozenset(map(tuple, np.argwhere(related).tolist()))
     assert final == epsilon_delta_bisim(M, eps, 0.1).pairs
+
+
+def test_fixpoint_peak_memory():
+    # n = 401 with 19,800 candidate pairs: the relation is one n x n boolean
+    # matrix; per-state Python sets of it peaked above 10 MiB
+    M = replicated_blocks(np.random.default_rng(0), 100, 4, 0.1, 0.1)
+    tracemalloc.start()
+    try:
+        bisim.epsilon_delta_bisim(M, 0.1, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20

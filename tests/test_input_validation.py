@@ -14,6 +14,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmcbisim import fixtures, load_model, simulate_paths, validate
+from ctmcbisim import PairRelation, epsilon_delta_bisim, fixtures, load_model, simulate_paths, validate
 from ctmcbisim.model import model_from_dict
 from ctmcbisim.cli import main
 from ctmcbisim.errors import NonFiniteValue
@@ -207,6 +208,18 @@ def test_non_finite_poisson_mean(capsys, tmp_path):
     assert rc == 2 and err.startswith("ValueError: mu must be finite")
 
 
+def test_non_finite_poisson_mean_raises_no_warning(capsys, tmp_path):
+    # the overflowing rate is reported once, as the error, with no numpy
+    # warning before it
+    doc = _document()
+    doc["states"][1]["reward"] = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(capsys, ["reward-reach", "-m", _write(tmp_path / "m.json", doc), "--bound", "1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("ValueError: mu must be finite") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------ fuzz
 
 _ODD_VALUES = (
@@ -336,3 +349,37 @@ def test_cli_rejects_malformed_relation_file(capsys, tmp_path, relation, message
                                  "--delta", "0.1", "--relation", rel])
     assert (rc, out) == (2, "")
     assert err.startswith(f"ValueError: {message}")
+
+
+# ------------------------------------------------------------ relation tolerances
+
+BAD_TOLERANCES = [
+    (math.inf, 0.0, "eps"),
+    (0.0, -1.0, "delta"),
+    (-0.5, 0.0, "eps"),
+    (0.0, math.nan, "delta"),
+]
+
+
+@pytest.mark.parametrize("eps, delta, field", BAD_TOLERANCES)
+def test_relations_reject_a_bad_tolerance(eps, delta, field):
+    M = fixtures.branch_merge_chain()
+    message = f"^{field} must be a finite number >= 0"
+    with pytest.raises(ValueError, match=message):
+        epsilon_delta_bisim(M, eps, delta)
+    # nor can a relation with such a tolerance reach is_bisimulation
+    with pytest.raises(ValueError, match=message):
+        PairRelation.from_off_diagonal([], M.n, eps, delta)
+
+
+@pytest.mark.parametrize("eps, delta, field", BAD_TOLERANCES)
+def test_cli_rejects_a_bad_relation_tolerance(capsys, tmp_path, eps, delta, field):
+    model = _write(tmp_path / "m.json", _document())
+    rel = _write(tmp_path / "r.json", {"pairs": [], "eps": eps, "delta": delta})
+    rc, out, err = _run(capsys, ["pair-uniformize", "-m", model, "--model-b", model,
+                                 "--delta", "0.1", "--relation", rel])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"ValueError: {field} must be a finite number >= 0")
+    rc, out, err = _run(capsys, ["check-bisim", "-m", model, "--eps", str(eps), "--delta", str(delta)])
+    assert (rc, out) == (2, "")
+    assert f"argument --{field}: must be a finite number >= 0" in err

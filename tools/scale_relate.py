@@ -19,8 +19,11 @@ plus the number of related pairs and a digest of the relation, so two
 labels can be checked for equal results.  Once a run passes
 ``SKIP_AFTER_S`` seconds, its rung runs no more and the larger rungs of
 its family are skipped and recorded as skipped.  The record goes into FILE (default
-``BENCH_relate.json``) under ``runs[NAME]``; other labels are kept.  Only
-numpy and the standard library are used.
+``BENCH_relate.json``) under ``runs[NAME]``; other labels are kept.  If a
+rung's relation digest differs from the one another label in FILE recorded
+for that rung, the script still writes the record and then exits with
+status 1, naming each such rung.  Only numpy and the standard library are
+used.
 """
 
 from __future__ import annotations
@@ -137,14 +140,23 @@ def main() -> None:
         f"tools/scale_relate.py: epsilon_delta_bisim, seed {SEED}, {RUNS} runs per rung in child "
         f"processes with BLAS on one thread; larger rungs skipped after a run past {SKIP_AFTER_S:g} s"
     )
+    rungs = ladder(src)
     doc.setdefault("runs", {})[args.label] = {
         "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
                     "python": platform.python_version()},
-        "rungs": ladder(src),
+        "rungs": rungs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    differ = []
+    for other, run in doc["runs"].items():
+        for key, rec in rungs.items():
+            theirs = run["rungs"].get(key, {}).get("digest")
+            if other != args.label and "digest" in rec and theirs not in (None, rec["digest"]):
+                differ.append(f"{key} ({args.label} {rec['digest']}, {other} {theirs})")
+    if differ:
+        sys.exit("relation digest differs on " + ", ".join(differ))
 
 
 if __name__ == "__main__":
