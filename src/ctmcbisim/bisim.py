@@ -44,7 +44,7 @@ from .model import Ctmc, _expect, _number, direct_sum
 
 FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
-#: most cells of one pairs x classes temporary of the class-mass bound
+#: most cells of one float temporary of the rate test and of the class-mass bound
 FILTER_CELLS = 1 << 16
 
 
@@ -424,8 +424,12 @@ def _initial_related(M: Ctmc, delta: float) -> np.ndarray:
     lnE = np.log(M.E)
     codes = {ls: k for k, ls in enumerate(set(M.label_sets))}
     label = np.array([codes[ls] for ls in M.label_sets])
-    # a NaN rate gap is not > delta, so it separates no pair (as in is_bisimulation)
-    ok = (label[:, None] == label[None, :]) & ~(np.abs(lnE[:, None] - lnE[None, :]) > delta + DELTA_SLACK)
+    ok = label[:, None] == label[None, :]
+    # the rate test by blocks of rows, with no n x n float temporary; a NaN
+    # rate gap is not > delta, so it separates no pair (as in is_bisimulation)
+    step = max(1, FILTER_CELLS // M.n)
+    for i in range(0, M.n, step):
+        ok[i : i + step] &= ~(np.abs(lnE[i : i + step, None] - lnE) > delta + DELTA_SLACK)
     if M.rewards is not None:
         ok &= M.rewards[:, None] == M.rewards[None, :]
     return ok

@@ -272,22 +272,71 @@ def _wilson(hits: int, n: int, confidence: float) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _next_states(cum: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each path i, the number of entries of ``cum[s[i]]`` below ``u[i]``.
+#: the largest float below 1.0
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
-    The paths are grouped by state and each group takes one binary search
-    in its row: in a nondecreasing row ``side="left"`` counts the entries
-    strictly below ``u``, the same integer as
-    ``(cum[s] < u[:, None]).sum(axis=1)``, in O(log n) time per path and
-    with no paths x n temporary.  Adding row offsets to ``cum`` for one global
-    search would round, and the draws would change.
+
+def _guide_table(P: np.ndarray, succ: graph.Index) -> tuple[np.ndarray, ...]:
+    """Guide table for drawing a next state from every row of ``P``
+    (indexed search: Chen & Asau, AIIE Trans. 1974).
+
+    Returns ``(c, cols, base, buckets, guide)``.  ``cols`` is ``succ``'s
+    list of positive columns, row after row, and ``c`` holds the values of
+    ``np.cumsum(P, axis=1)`` at them, except that the last entry of each
+    row is ``inf``.  ``buckets[s]`` is the smallest power of two ``B_s`` >=
+    the row's count of positive entries, and ``guide[base[s] + k]`` (k <
+    B_s) is the index in ``c`` of the row's first entry that is not below
+    ``k / B_s``.  Every array holds O(nnz) entries.
     """
-    order = np.argsort(s, kind="stable")
-    ranked = s[order]
-    nxt = np.empty(s.size, dtype=np.intp)
-    for part in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
-        nxt[part] = np.searchsorted(cum[s[part[0]]], u[part], side="left")
-    return nxt
+    indptr, cols = succ
+    deg = np.diff(indptr)
+    # over positive columns these are the bits of the dense row's cumsum
+    # (adding 0.0 is exact and cumsum is sequential)
+    c = np.cumsum(P, axis=1)[P > 0.0]
+    # every draw that passes the row's other entries picks its last column,
+    # whether or not it lies above the row's rounded sum
+    c[indptr[1:] - 1] = np.inf
+    buckets = np.left_shift(np.intp(1), np.frexp(deg - 1)[1])
+    base = np.zeros(len(deg) + 1, dtype=np.intp)
+    np.cumsum(buckets, out=base[1:])
+    # an entry of row s counts as below k / B_s from table slot base[s] + k
+    # on, k = floor(c * B_s) + 1 (exact, B_s being a power of two), and from
+    # base[s + 1] on when c >= 1 (the inf too), where clamping c to the float
+    # below 1.0 makes k = B_s; the entries of earlier rows all count from
+    # base[s] on, so the count at slot t is the index guide[t] asks for
+    key = np.minimum(c, _BELOW_ONE)
+    key *= np.repeat(buckets, deg)
+    key = key.astype(np.intp)
+    key += np.repeat(base[:-1] + 1, deg)
+    guide = np.bincount(key, minlength=base[-1] + 1)[:-1]
+    del key
+    np.cumsum(guide, out=guide)
+    return c, cols, base, buckets, guide
+
+
+def _next_states(table: tuple[np.ndarray, ...], s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each path i, the column that the draw ``u[i]`` picks in row
+    ``s[i]`` of the chain of ``table`` (from ``_guide_table``).
+
+    That is the column of ``clip(#{j : cum[s, j] < u}, first[s], last[s])``
+    for the dense cumulative row ``cum[s]``: the first positive column whose
+    ``cum`` is not below ``u``, the last positive one when there is none (a
+    draw above the row's rounded sum), and the first when ``u`` is 0.0.
+    The bucket ``k = floor(min(u, _BELOW_ONE) * B_s)`` is exact and below
+    ``B_s`` for every ``u >= 0`` (a generator's draw is below 1 already),
+    and every entry before ``guide[base[s] + k]`` is below ``k / B_s <= u``,
+    so the draw starts there and scans forward, one vectorised round per
+    step, while the entry is below ``u``; the ``inf`` at the row's end stops
+    every scan.  For a uniform ``u`` a scan passes at most
+    ``1 + nnz_s / B_s <= 2`` entries in expectation.
+    """
+    c, cols, base, buckets, guide = table
+    pos = guide[base[s] + (np.minimum(u, _BELOW_ONE) * buckets[s]).astype(np.intp)]
+    scan = np.flatnonzero(c[pos] < u)
+    while scan.size:
+        pos[scan] += 1
+        scan = scan[c[pos[scan]] < u[scan]]
+    return cols[pos]
 
 
 def simulate_paths(
@@ -304,12 +353,19 @@ def simulate_paths(
     With ``budget_weights`` w the clock advances by ``w[s] * sojourn``
     instead of the sojourn itself, which turns the same sampler into a
     reward-accumulation estimator (weights = per-state reward rates).
-    All paths are advanced in lockstep as vector operations.  Raises
-    ValueError, before any random draw, for a bad ``n``, ``horizon``,
-    ``confidence`` or ``budget_weights``.
+    All paths are advanced in lockstep as vector operations.  Each next
+    state is drawn exactly from a guide table built once per call
+    (``_guide_table``, O(nnz) memory): expected O(1) work per path and
+    jump, and the same column as a scan of the dense cumulative row.
+    Raises ValueError, before any random draw, for a bad ``n``, ``seed``,
+    ``max_jumps``, ``horizon``, ``confidence`` or ``budget_weights``.
     """
-    if n < 1:
-        raise ValueError(f"need at least one path, got {n}")
+    for name, value, least in (("n", n, 1), ("seed", seed, 0), ("max_jumps", max_jumps, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(
+                f"{name} must be an integer >= {least}, got {value!r}"
+                + ("; need at least one path" if name == "n" else "")
+            )
     _check_horizon(horizon)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
@@ -320,11 +376,7 @@ def simulate_paths(
         )
     g = M.goal_state()
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(M.P, axis=1)
-    # a draw above a row's rounded sum goes to the row's last positive
-    # column, and a draw of 0.0 to its first
-    first = np.argmax(M.P > 0.0, axis=1)
-    last = M.n - 1 - np.argmax(M.P[:, ::-1] > 0.0, axis=1)
+    table = _guide_table(M.P, M.succ)
     absorbing = _absorbing_states(M.P)
 
     state = np.full(n, M.initial)
@@ -359,7 +411,7 @@ def simulate_paths(
             if idx.size == 0:
                 continue
         u = rng.random(idx.size)
-        nxt = np.clip(_next_states(cum, s, u), first[s], last[s])
+        nxt = _next_states(table, s, u)
         state[idx] = nxt
         arrived = nxt == g
         if arrived.any():

@@ -200,6 +200,24 @@ def test_simulate_paths_rejects_bad_arguments_before_drawing(argument, value):
             simulate_paths(fixtures.branch_merge_chain(), 100, seed=0, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "argument, value",
+    [("n", 2.5), ("n", True), ("seed", -1), ("max_jumps", 0), ("max_jumps", -3)],
+    ids=["n-float", "n-bool", "seed-negative", "max-jumps-0", "max-jumps-negative"],
+)
+def test_simulate_paths_rejects_bad_counts_before_drawing(argument, value):
+    kwargs = {"n": 100, "horizon": 1.0, "seed": 0, argument: value}
+    with mock.patch("numpy.random.default_rng", side_effect=AssertionError("drew before checking")):
+        with pytest.raises(ValueError, match=f"^{argument} must be an integer >= "):
+            simulate_paths(fixtures.branch_merge_chain(), **kwargs)
+
+
+def test_simulate_paths_takes_numpy_integers():
+    M = fixtures.branch_merge_chain()
+    got = simulate_paths(M, np.int64(50), 1.0, np.uint32(3), max_jumps=np.int32(1_000))
+    assert got == simulate_paths(M, 50, 1.0, 3, max_jumps=1_000)
+
+
 def test_non_finite_poisson_mean(capsys, tmp_path):
     # a reward this small turns exit rate 1 into an infinite clock-rescaled rate
     doc = _document()

@@ -1,12 +1,13 @@
 """``simulate_paths`` against the sampler it replaced.
 
-The library draws each next state with one binary search per run of
-equal states (``transient._next_states``); the sampler below draws it as
-``(cum[s] < u[:, None]).sum(axis=1)``, with a paths x n temporary per
-jump.  It is kept verbatim apart from an ``_oracle`` suffix on its name.
-Both make the same random calls in the same order, so every seeded
-``SimulationResult`` must be equal, and ``JumpBudgetExceeded`` must be
-raised at the same jump.
+The library draws each next state from a guide table over each row's
+positive entries, with an expected O(1) scan per path and jump
+(``transient._guide_table`` and ``transient._next_states``); the sampler
+below draws it as ``(cum[s] < u[:, None]).sum(axis=1)``, with a paths x n
+temporary per jump.  It is kept verbatim apart from an ``_oracle`` suffix
+on its name.  Both make the same random calls in the same order, so every
+seeded ``SimulationResult`` must be equal, and ``JumpBudgetExceeded`` must
+be raised at the same jump.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmcbisim import make_ctmc, validate
+from ctmcbisim import graph, make_ctmc, validate
 from ctmcbisim.errors import JumpBudgetExceeded
 from ctmcbisim.model import ABSORBING_EPS, Ctmc
-from ctmcbisim.transient import SimulationResult, _next_states, _wilson, simulate_paths
+from ctmcbisim.transient import SimulationResult, _guide_table, _next_states, _wilson, simulate_paths
 
 from helpers import random_dag_chain, random_labeled_chain, random_rewarded_chain, random_uniform_chain
 
@@ -228,4 +229,127 @@ def test_next_states_counts_the_entries_below_u(rows, picks, short):
             "z": 0.0,
         }[how])
     u = np.array(u)
-    assert np.array_equal(_next_states(cum, s, u), (cum[s] < u[:, None]).sum(axis=1))
+    count = (cum[s] < u[:, None]).sum(axis=1)
+    first = np.argmax(P > 0.0, axis=1)
+    last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0.0, axis=1)
+    want = np.clip(count, first[s], last[s])
+    assert np.array_equal(_next_states(_guide_table(P, graph.csr(P)), s, u), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=st.integers(0, 3_000), kind=st.sampled_from(("uniform", "dag", "labeled")))
+def test_guide_counts_the_entries_below_each_bucket(chain, kind):
+    rng = np.random.default_rng(chain)
+    M = {"uniform": random_uniform_chain, "dag": random_dag_chain, "labeled": random_labeled_chain}[kind](rng)
+    c, cols, base, buckets, guide = _guide_table(M.P, M.succ)
+    indptr, _ = M.succ
+    assert np.array_equal(cols, M.succ[1]) and len(guide) == base[-1] < 2 * len(cols) + M.n
+    for s in range(M.n):
+        row = np.cumsum(M.P[s])[M.P[s] > 0.0]
+        deg = len(row)
+        assert buckets[s] >= deg and (buckets[s] == 1 or buckets[s] < 2 * deg)
+        assert np.array_equal(c[indptr[s] : indptr[s + 1]], np.r_[row[:-1], np.inf])
+        below = [min((row < k / buckets[s]).sum(), deg - 1) for k in range(buckets[s])]
+        assert np.array_equal(guide[base[s] : base[s + 1]] - indptr[s], below)
+
+
+# ---------------------------------------------------------------- rows the helper chains never produce
+
+
+_REAL_RNG = np.random.default_rng
+
+
+class _TopDrawsEvery:
+    """Stands in for ``np.random.default_rng``: the seeded generator, except
+    that every third uniform draw is replaced by the largest float below 1,
+    above the rounded sum of a short row."""
+
+    def __init__(self, seed):
+        self.rng = _REAL_RNG(seed)
+
+    def exponential(self, scale, size):
+        return self.rng.exponential(scale, size)
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[::3] = np.nextafter(1.0, 0.0)
+        return u
+
+
+def _chain(P: np.ndarray) -> Ctmc:
+    """Rate-1 chain on ``P`` with the last state as its goal, validated."""
+    n = len(P)
+    return validate(Ctmc(
+        ids=tuple(f"s{i}" for i in range(n - 1)) + ("g",),
+        labels=((),) * (n - 1) + (("g",),),
+        P=P,
+        E=np.ones(n),
+        initial=0,
+        goal=(n - 1,),
+    ))
+
+
+@settings(max_examples=8, deadline=None)
+@given(chain=st.integers(0, 3_000), seed=_SEEDS)
+def test_same_result_on_skewed_rows(chain, seed):
+    # one heavy entry and 300 entries of 1e-6 per row: in the row's table of
+    # 512 buckets, those before the heavy one share the first bucket and
+    # those after it the last
+    rng = np.random.default_rng(chain)
+    n, tiny = 400, 300
+    P = np.zeros((n, n))
+    for i in range(n - 1):
+        heavy = rng.integers(n)
+        P[i, rng.choice(np.delete(np.arange(n), heavy), tiny, replace=False)] = 1e-6
+        P[i, heavy] = 1.0 - tiny * 1e-6
+    P[n - 1, n - 1] = 1.0
+    _same(_chain(P), 2_000, 40.0, seed)
+
+
+@settings(max_examples=8, deadline=None)
+@given(chain=st.integers(0, 3_000), seed=_SEEDS)
+def test_same_result_on_two_successor_rows_of_a_long_chain(chain, seed):
+    # each row: i -> i+1 and i -> one random state, with long runs of zero
+    # columns between them
+    rng = np.random.default_rng(chain)
+    n = 1_200
+    P = np.zeros((n, n))
+    for i in range(n - 1):
+        far = rng.choice(np.delete(np.arange(n), i + 1))
+        P[i, i + 1] = rng.choice((0.25, 0.5, 0.875))
+        P[i, far] = 1.0 - P[i, i + 1]
+    P[n - 1, n - 1] = 1.0
+    _same(_chain(P), 500, 60.0, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chain=st.integers(0, 3_000), seed=_SEEDS, single=st.booleans())
+def test_same_result_when_draws_land_above_short_rows(chain, seed, single):
+    # every transient row sums to below 1 in floating point, and every third
+    # draw lies above that sum; with ``single`` some rows have one successor,
+    # a table of one bucket
+    M = random_uniform_chain(np.random.default_rng(chain), n=30)
+    P = M.P.copy()
+    if single:
+        P[1:-1:2] = np.eye(M.n)[2::2]
+    P[:-1] *= 1.0 - 2.0**-40
+    M = validate(replace(M, P=P))
+    assert np.all(np.cumsum(M.P[:-1], axis=1)[:, -1] < np.nextafter(1.0, 0.0))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.random, "default_rng", _TopDrawsEvery)
+        _same(M, 300, 10.0, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chain=st.integers(0, 3_000), seed=_SEEDS)
+def test_same_result_on_single_successor_rows(chain, seed):
+    # a random half of the transient rows jump to one state, which makes
+    # their tables one bucket long
+    rng = np.random.default_rng(chain)
+    M = random_uniform_chain(rng, n=40)
+    P = M.P.copy()
+    for i in np.flatnonzero(rng.random(M.n - 1) < 0.5):
+        P[i] = np.eye(M.n)[rng.integers(i + 1, M.n)]
+    M = validate(replace(M, P=P))
+    assert 1 in np.diff(M.succ[0])[:-1]
+    _same(M, 500, 7.0, seed)
