@@ -22,8 +22,9 @@ clears the exact threshold by a margin that covers its rounding (see
 every sweep drops the same pairs as without the bound.
 
 Included: pair checks and witness couplings, the greatest-fixpoint
-relation at (eps, delta), strong bisimulation by partition refinement,
-quasi-lumpability, and the product ("split") construction that factors a
+relation at (eps, delta), strong bisimulation (a label array refined by
+block masses read from the successor lists) and quasi-lumpability from
+the same masses, and the product ("split") construction that factors a
 related pair of chains into a probability-only and a rate-only step.
 """
 
@@ -119,23 +120,23 @@ class PairRelation:
     def off_diagonal(self) -> list[tuple[int, int]]:
         return sorted((s, t) for (s, t) in self.pairs if s < t)
 
-    def is_transitive(self) -> bool:
-        adj = self.adjacency
-        return all(adj[t] <= adj[s] for s in range(self.n) for t in adj[s])
-
-    def _components(self) -> list[list[int]]:
-        """Connected components of the relation's graph, by smallest state."""
+    @cached_property
+    def _label(self) -> np.ndarray:
+        """The connected components of the relation's graph as a label array."""
         return graph.components(graph.csr(self.matrix))
 
+    def is_transitive(self) -> bool:
+        # related pairs lie within components, so: is each component a clique?
+        return int(self.matrix.sum()) == int((np.bincount(self._label) ** 2).sum())
+
     def transitive_closure(self) -> "PairRelation":
-        pairs = frozenset((s, t) for block in self._components() for s in block for t in block)
-        return PairRelation(n=self.n, pairs=pairs, eps=self.eps, delta=self.delta)
+        return _partition(self._label).as_relation(self.eps, self.delta)
 
     def classes(self) -> "Partition":
         """Equivalence classes; the relation must be transitive."""
         if not self.is_transitive():
             raise ValueError("relation is not transitive; no well-defined classes")
-        return Partition(blocks=tuple(frozenset(block) for block in self._components()))
+        return _partition(self._label)
 
 
 @dataclass(frozen=True)
@@ -143,27 +144,34 @@ class Partition:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for b in self.blocks:
-            if seen & b:
-                raise ValueError("blocks are not disjoint")
-            seen |= b
-        if seen != set(range(len(seen))) or not seen:
+        for i, b in enumerate(self.blocks):
+            if not b:
+                raise ValueError(f"block {i} is empty")
+        label = {s: i for i, b in enumerate(self.blocks) for s in b}
+        if len(label) < sum(map(len, self.blocks)):
+            raise ValueError("blocks are not disjoint")
+        if not label or set(label) != set(range(len(label))):
             raise ValueError("blocks do not cover a 0..n-1 state range")
+        # the state -> block index read by n, block_of and check_quasi_lumpability
+        object.__setattr__(self, "_label", np.array([label[s] for s in range(len(label))]))
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self._label)
 
     def block_of(self, s: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if s in b:
-                return i
-        raise KeyError(s)
+        if s not in range(self.n):
+            raise KeyError(s)
+        return int(self._label[int(s)])
 
     def as_relation(self, eps: float = 0.0, delta: float = 0.0) -> PairRelation:
         pairs = frozenset((s, t) for b in self.blocks for s in b for t in b)
         return PairRelation(n=self.n, pairs=pairs, eps=eps, delta=delta)
+
+
+def _partition(label: np.ndarray) -> Partition:
+    """The partition whose block ``c``, built from an ascending list, holds the states labelled ``c``."""
+    return Partition(blocks=tuple(frozenset(np.flatnonzero(label == c).tolist()) for c in range(label.max() + 1)))
 
 
 def compose(R1: PairRelation, R2: PairRelation) -> PairRelation:
@@ -464,13 +472,11 @@ def _mass_rejects(P: np.ndarray, related: np.ndarray, todo: np.ndarray, cut: flo
     connected components of ``related`` is below ``cut``: such a pair
     fails its flow check in both orientations.  The pairs x classes
     temporaries hold at most ``FILTER_CELLS`` cells each."""
-    classes = graph.components(graph.csr(related))
-    onehot = np.zeros((len(related), len(classes)))
-    for c, members in enumerate(classes):
-        onehot[members, c] = 1.0
+    label = graph.components(graph.csr(related))
+    onehot = (label[:, None] == np.arange(label.max() + 1)).astype(float)
     mass = P @ onehot
     out = np.empty(len(todo), dtype=bool)
-    step = max(1, FILTER_CELLS // len(classes))
+    step = max(1, FILTER_CELLS // onehot.shape[1])
     for i in range(0, len(todo), step):
         s, t = todo[i : i + step].T
         out[i : i + step] = np.minimum(mass[s], mass[t]).sum(axis=1) < cut
@@ -589,53 +595,56 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
     return RelationCheck(True)
 
 
+def _first_seen(keys: Iterable) -> np.ndarray:
+    """Label array numbering the distinct keys by first occurrence."""
+    codes: dict = {}
+    return np.array([codes.setdefault(key, len(codes)) for key in keys])
+
+
+def _block_masses(M: Ctmc, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states ``s``, blocks ``b`` and masses ``P(s, b) > 0`` by state and
+    block, each the ``math.fsum`` of the entries of ``M.succ`` of ``s`` in ``b``."""
+    indptr, indices = M.succ
+    src = np.repeat(np.arange(M.n), np.diff(indptr))
+    key = src * M.n + label[indices]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    p = M.P[src[order], indices[order]].tolist()
+    mass = [math.fsum(p[a:b]) for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(p)])]
+    return key[starts] // M.n, key[starts] % M.n, np.array(mass)
+
+
 def strong_bisim(M: Ctmc) -> Partition:
     """Coarsest partition with equal labels, exit rates, rewards (when
-    present), and block-transition probabilities; plain signature
-    refinement."""
-    labels = M.label_sets
-
-    def base_sig(s: int):
-        rw = float(M.rewards[s]) if M.rewards is not None else None
-        return (labels[s], float(M.E[s]), rw)
-
-    sig = {s: base_sig(s) for s in range(M.n)}
+    present), and block-transition probabilities; signature refinement of
+    a label array, each state's signature its block and its sorted
+    ``(block, mass)`` pairs from ``_block_masses``."""
+    rewards = M.rewards.tolist() if M.rewards is not None else [None] * M.n
+    label = _first_seen(zip(M.label_sets, M.E.tolist(), rewards))
     while True:
-        groups: dict = {}
-        for s in range(M.n):
-            groups.setdefault(sig[s], []).append(s)
-        blocks = sorted(groups.values(), key=lambda b: b[0])
-        block_of = {}
-        for i, b in enumerate(blocks):
-            for s in b:
-                block_of[s] = i
-        new_sig = {}
-        for s in range(M.n):
-            probs = tuple(math.fsum(float(M.P[s, m]) for m in sorted(b)) for b in blocks)
-            new_sig[s] = (block_of[s], probs)
-        next_groups: dict = {}
-        for s in range(M.n):
-            next_groups.setdefault(new_sig[s], []).append(s)
-        if len(next_groups) == len(groups):
-            return Partition(blocks=tuple(frozenset(b) for b in blocks))
-        sig = new_sig
+        src, blk, mass = _block_masses(M, label)
+        ends = np.searchsorted(src, np.arange(M.n + 1)).tolist()
+        pairs = list(zip(blk.tolist(), mass.tolist()))
+        new = _first_seen((b, tuple(pairs[ends[s] : ends[s + 1]])) for s, b in enumerate(label.tolist()))
+        if new.max() == label.max():
+            return _partition(label)
+        label = new
 
 
 def check_quasi_lumpability(M: Ctmc, partition: Partition, tau: float) -> bool:
     """Same-block states' rates into every block must differ by at most tau
-    (plus 1e-12 of slack)."""
+    (plus 1e-12 of slack); the rates are ``E[s]`` times the masses of
+    ``_block_masses``."""
     if partition.n != M.n:
         raise ValueError("partition does not cover the chain")
     if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
-    for block in partition.blocks:
-        members = sorted(block)
-        for target in partition.blocks:
-            tgt = sorted(target)
-            rates = [float(M.E[s]) * math.fsum(float(M.P[s, m]) for m in tgt) for s in members]
-            if max(rates) - min(rates) > tau + 1e-12:
-                return False
-    return True
+    label = partition._label
+    src, blk, mass = _block_masses(M, label)
+    rates = np.zeros((M.n, len(partition.blocks)))
+    rates[src, blk] = M.E[src] * mass
+    return not any(np.any(np.ptp(rates[label == c], axis=0) > tau + 1e-12) for c in range(len(partition.blocks)))
 
 
 # --------------------------------------------------------------------------
@@ -687,39 +696,25 @@ def split_construction(M: Ctmc, N: Ctmc, eps: float, delta: float) -> SplitResul
 
     ids = tuple(f"{M.ids[s]}&{N.ids[t]}" for s in range(nM) for t in range(nN))
     labels = tuple(N.labels[t] for _ in range(nM) for t in range(nN))
-    P = np.zeros((n_prod, n_prod))
-    E_m = np.empty(n_prod)
-    E_n = np.empty(n_prod)
-    related_prod: set[int] = set()
-
-    for s in range(nM):
-        for t in range(nN):
-            p = pid(s, t)
-            E_n[p] = N.E[t]
-            if (s, t + off) in R.pairs:
-                related_prod.add(p)
-                E_m[p] = M.E[s]
-                cpl = extract_coupling(joint, R, s, t + off, eps)
-                for i, sp in enumerate(cpl.succ_source):
-                    for j, tq in enumerate(cpl.succ_target):
-                        w = cpl.weights[i, j]
-                        if w > 0.0:
-                            P[p, pid(sp, tq - off)] += float(M.P[s, sp]) * w
-            else:
-                E_m[p] = N.E[t]
-                for sp in np.flatnonzero(M.P[s] > 0.0):
-                    for tq in np.flatnonzero(N.P[t] > 0.0):
-                        P[p, pid(int(sp), int(tq))] = float(M.P[s, sp]) * float(N.P[t, tq])
+    related = R.matrix[:nM, off:]
+    # independent moves: P[pid(s, t), pid(sp, tq)] = M.P[s, sp] * N.P[t, tq]
+    P = np.multiply.outer(M.P, N.P).transpose(0, 2, 1, 3).reshape(n_prod, n_prod)
+    for s, t in np.argwhere(related).tolist():
+        # a coupling covers succ(s) x succ(t), the support of the independent row
+        cpl = extract_coupling(joint, R, s, t + off, eps)
+        sp, tq = np.array(cpl.succ_source), np.subtract(cpl.succ_target, off)
+        P[pid(s, t), pid(sp[:, None], tq)] = M.P[s, sp][:, None] * cpl.weights
+    E_m = np.where(related, M.E[:, None], N.E).ravel()
 
     goal = tuple(pid(s, t) for s in range(nM) for t in N.goal)
     fail = tuple(pid(s, t) for s in range(nM) for t in N.fail)
     initial = pid(M.initial, N.initial)
     m_prime = Ctmc(ids=ids, labels=labels, P=P, E=E_m, initial=initial, goal=goal, fail=fail)
-    n_prime = Ctmc(ids=ids, labels=labels, P=P.copy(), E=E_n, initial=initial, goal=goal, fail=fail)
+    n_prime = Ctmc(ids=ids, labels=labels, P=P.copy(), E=np.tile(N.E, nM), initial=initial, goal=goal, fail=fail)
 
     sum1 = direct_sum(M, m_prime)
     r1 = PairRelation.from_off_diagonal(
-        {(s, nM + p) for p in related_prod for s in (p // nN,)},
+        {(s, nM + pid(s, t)) for s, t in np.argwhere(related).tolist()},
         n=nM + n_prod,
         eps=eps,
         delta=0.0,

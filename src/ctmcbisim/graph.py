@@ -6,10 +6,10 @@ the neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``, in
 ascending order.  A chain builds this index once for its jump graph
 (``Ctmc.succ``) and once for the reversed graph (``Ctmc.pred``, which also
 gives the relation fixpoint its worklist).  A relation is an n x n boolean
-matrix, and ``csr`` of it is the relation's graph: ``components`` of that
-graph are the classes of each sweep's class-mass bound and of
-``bisim.PairRelation``; ``components`` also groups nearby eigenvalues in
-``spectral.decompose``.
+matrix, and ``csr`` of it is the relation's graph.  ``components`` returns
+a label array, the package's one form of a grouping of states: it gives
+the classes of each sweep's class-mass bound and of ``bisim.PairRelation``
+and the clusters of nearby eigenvalues in ``spectral.decompose``.
 """
 
 from __future__ import annotations
@@ -47,17 +47,22 @@ def reach(index: Index, sources: Iterable[int]) -> set[int]:
     return set(np.flatnonzero(seen).tolist())
 
 
-def components(index: Index) -> list[list[int]]:
-    """Connected components of a symmetric graph: each a sorted vertex
-    list, the list ordered by smallest vertex."""
-    done = np.zeros(len(index[0]) - 1, dtype=bool)
-    out = []
-    for v in range(len(done)):
-        if not done[v]:
-            members = sorted(reach(index, [v]))
-            done[members] = True
-            out.append(members)
-    return out
+def components(index: Index) -> np.ndarray:
+    """Connected components of a symmetric graph as labels numbered by
+    smallest vertex: min-label propagation with pointer jumping, over one
+    int32 gather of the labels per round while n < 2**31."""
+    indptr, indices = index
+    n = len(indptr) - 1
+    label = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])  # the vertices with a neighbour
+    while len(rows):
+        low = label.copy()
+        low[rows] = np.minimum(label[rows], np.minimum.reduceat(label[indices], indptr[rows]))
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
 def find_cycle(index: Index, inside: np.ndarray, self_loops: bool = True) -> tuple[int, int] | None:

@@ -232,15 +232,15 @@ def decompose(P: np.ndarray, tol: float = 1e-9) -> SpectralData:
     # cluster nearby eigenvalues; snap the 1- and 0-clusters exactly
     near = np.abs(evals[:, None] - evals[None, :]) <= CLUSTER_TOL
     clusters: list[tuple[complex, int]] = []
-    for members in graph.components(graph.csr(near)):
-        vals = evals[members]
+    label = graph.components(graph.csr(near))
+    for vals in (evals[label == c] for c in range(label.max() + 1)):
         if np.any(np.abs(vals - 1.0) <= MOD_ONE_TOL):
             rep = 1.0 + 0.0j
         elif np.all(np.abs(vals) <= CLUSTER_TOL):
             rep = 0.0 + 0.0j
         else:
             rep = complex(np.mean(vals))
-        clusters.append((rep, len(members)))
+        clusters.append((rep, len(vals)))
     clusters.sort(key=lambda c: (c[0] != 1.0,) + _eig_sort_key(c[0]))
 
     cols: list[np.ndarray] = []

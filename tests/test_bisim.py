@@ -62,6 +62,11 @@ def test_partition_rejects_overlap():
         Partition(blocks=(frozenset({0, 1}), frozenset({1, 2})))
 
 
+def test_partition_rejects_an_empty_block():
+    with pytest.raises(ValueError, match="block 1 is empty"):
+        Partition((frozenset({0}), frozenset(), frozenset({1})))
+
+
 def test_compose_adds_tolerances():
     R1 = PairRelation.from_off_diagonal({(0, 1)}, n=3, eps=0.1, delta=0.05)
     R2 = PairRelation.from_off_diagonal({(1, 2)}, n=3, eps=0.2, delta=0.1)
