@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import errors as err
-from .bisim import PairRelation, epsilon_delta_bisim, is_bisimulation, load_relation, relation_to_dict
+from .bisim import epsilon_delta_bisim, is_bisimulation, load_relation, relation_to_dict
 from .curves import BoundCurve, time_grid
 from .erlang import (
     erlang_N_bound,
@@ -26,7 +26,7 @@ from .erlang import (
     pareto_region,
     uniformization_bound,
 )
-from .model import direct_sum, load_model, model_to_dict, normalize_goal, prune_unreachable
+from .model import _normal_form, direct_sum, load_model, model_to_dict
 from .pairuniform import uniformize_pair
 from .rewards import eliminate_zero_reward_states, hat_transform, reward_bound, reward_reach
 from .spectral import (
@@ -89,10 +89,7 @@ def cmd_check_bisim(args) -> int:
         **relation_to_dict(R, chain),
     }
     if args.explain and not related:
-        probe = PairRelation.from_off_diagonal(
-            list(R.off_diagonal()) + [init_pair], chain.n, args.eps, args.delta
-        )
-        chk = is_bisimulation(chain, probe)
+        chk = is_bisimulation(chain, dataclasses.replace(R, pairs=R.pairs | {init_pair, init_pair[::-1]}))
         report["explain"] = {
             "pair": [chain.ids[chk.pair[0]], chain.ids[chk.pair[1]]] if chk.pair else None,
             "condition": chk.condition,
@@ -123,7 +120,7 @@ def _once(fn):
 
 def cmd_bounds(args) -> int:
     M = load_model(args.model)
-    Mn = normalize_goal(prune_unreachable(M))
+    Mn = _normal_form(M)
     grid = time_grid(args.tmax, args.steps)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     unknown = [w for w in which if w not in _BOUND_NAMES]
@@ -188,8 +185,7 @@ def cmd_pair_uniformize(args) -> int:
     B = load_model(args.model_b)
     joint = direct_sum(A, B)
     if args.relation is not None:
-        R = load_relation(args.relation, joint)
-        R = PairRelation.from_off_diagonal(R.off_diagonal(), joint.n, 0.0, args.delta)
+        R = dataclasses.replace(load_relation(args.relation, joint), eps=0.0, delta=args.delta)
     else:
         R = epsilon_delta_bisim(joint, 0.0, args.delta)
     with warnings.catch_warnings(record=True) as caught:
@@ -218,7 +214,7 @@ def cmd_spectral_report(args) -> int:
 
 def cmd_pn(args) -> int:
     M = load_model(args.model)
-    Mn = normalize_goal(prune_unreachable(M))
+    Mn = _normal_form(M)
     sd = decompose(Mn.P, tol=args.tol)
     fn = pn_diag if sd.kind == "diag" else pn_jordan
     oracle = hit_exact_steps(Mn, args.steps).probs
@@ -232,7 +228,7 @@ def cmd_pn(args) -> int:
 
 def cmd_simulate(args) -> int:
     M = load_model(args.model)
-    Mn = normalize_goal(prune_unreachable(M))
+    Mn = _normal_form(M)
     res = simulate_paths(Mn, args.paths, args.t, args.seed, confidence=args.confidence)
     _json({**dataclasses.asdict(res), "horizon": args.t, "seed": args.seed}, args.out)
     return 0

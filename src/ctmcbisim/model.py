@@ -249,11 +249,11 @@ def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
 def direct_sum(M: Ctmc, N: Ctmc) -> Ctmc:
     """Disjoint union: M keeps its indices, N's are shifted by ``M.n``.
 
-    The initial state of the sum is M's.  N's state ids are suffixed
-    with ``~b`` only when they collide with ids of M.
+    The initial state of the sum is M's.  An id of N that M also has
+    gets the suffix ``~b``, followed by a number if that id is taken too.
     """
-    taken = set(M.ids)
-    n_ids = tuple(i if i not in taken else i + "~b" for i in N.ids)
+    ours, taken = set(M.ids), set(M.ids) | set(N.ids)
+    n_ids = tuple(_fresh_id(i + "~b", taken) if i in ours else i for i in N.ids)
     n, m = M.n, N.n
     P = np.zeros((n + m, n + m))
     P[:n, :n] = M.P
@@ -288,11 +288,14 @@ def _fresh_atom(base: str, used: set[str]) -> str:
 
 
 def _fresh_id(base: str, used: set[str]) -> str:
+    """The first of ``base``, ``base1``, ``base2``, ... not in ``used``,
+    which it joins."""
     name = base
     k = 0
     while name in used:
         k += 1
         name = f"{base}{k}"
+    used.add(name)
     return name
 
 
@@ -342,12 +345,11 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
     if single_goal:
         (g0,) = G
         goal_label = M.labels[g0]
-        goal_id = M.ids[g0] if M.ids[g0] not in used_ids else _fresh_id(M.ids[g0], used_ids)
+        goal_id = _fresh_id(M.ids[g0], used_ids)
     else:
         goal_label = (_fresh_atom("goal", used_atoms),)
         goal_id = _fresh_id("goal", used_ids)
     used_atoms |= set(goal_label)
-    used_ids.add(goal_id)
     fail_label = (_fresh_atom("fail", used_atoms),)
     fail_id = _fresh_id("fail", used_ids)
 
@@ -425,9 +427,22 @@ def restrict(M: Ctmc, keep: Sequence[int]) -> Ctmc:
 
 
 def prune_unreachable(M: Ctmc) -> Ctmc:
-    """Drop states unreachable from the initial state (explicit, never automatic)."""
+    """Drop states unreachable from the initial state; every goal analysis
+    does so through :func:`_normal_form`."""
     seen = graph.reach(M.succ, [M.initial])
     return M if len(seen) == M.n else restrict(M, sorted(seen))
+
+
+def _normal_form(M: Ctmc) -> Ctmc:
+    """The chain every goal analysis reads: :func:`normalize_goal` of the
+    states reachable from the initial one.  When no goal state is among
+    them the goal states are kept too, so that a goal that cannot be
+    reached gives the two-state form (initial state ``fail``) and not an
+    empty goal set."""
+    seen = graph.reach(M.succ, [M.initial])
+    if seen.isdisjoint(M.goal):
+        seen.update(M.goal)
+    return normalize_goal(M if len(seen) == M.n else restrict(M, sorted(seen)))
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import graph
 from .bisim import PairRelation, is_bisimulation
 from .erlang import rate_factor
 from .errors import CtmcError, NotTransitive, NotZeroDeltaBisim, OrderingAssumptionViolated
-from .model import Ctmc, direct_sum, normalize_goal, prune_unreachable, uniformize
+from .model import Ctmc, _normal_form, direct_sum, uniformize
 from .transient import timed_reach_curve
 
 ORDERING_GRID = (0.5, 1.0, 2.0, 5.0)
@@ -49,7 +50,7 @@ def _reach_curve(M: Ctmc, ts) -> np.ndarray | None:
     """Goal-reaching probabilities on a small grid, or None when the chain
     has no usable goal marking."""
     try:
-        return timed_reach_curve(normalize_goal(prune_unreachable(M)), ts)
+        return timed_reach_curve(_normal_form(M), ts)
     except (CtmcError, ValueError):
         return None
 
@@ -72,28 +73,22 @@ def uniformize_pair(M: Ctmc, N: Ctmc, R: PairRelation, delta: float) -> PairUnif
         raise NotTransitive("class-wise rate surgery needs a transitive relation")
 
     D = direct_sum(M, N)
-    R0 = PairRelation.from_off_diagonal(R.off_diagonal(), R.n, 0.0, delta)
+    R0 = replace(R, eps=0.0, delta=delta)
     check = is_bisimulation(D, R0)
     if not check:
         raise NotZeroDeltaBisim(
             f"pair {check.pair} fails the {check.condition} condition: {check.detail}"
         )
 
-    E_m = np.array(M.E, dtype=float)
-    E_n = np.array(N.E, dtype=float)
-    for block in R0.classes().blocks:
-        m_side = [i for i in block if i < nm]
-        n_side = [i - nm for i in block if i >= nm]
-        if m_side:
-            e_min = min(float(M.E[i]) for i in m_side)
-        else:
-            # Class living entirely in N: leave those rates in place (up to
-            # the slow-down to the class minimum on N's own side).
-            e_min = min(float(N.E[j]) for j in n_side) / ed
-        for i in m_side:
-            E_m[i] = e_min
-        for j in n_side:
-            E_n[j] = e_min * ed
+    # R0 is transitive, so its components are its classes.  Each class
+    # takes its smallest first-chain rate; a class living entirely in N
+    # keeps the smallest of its own rates, slowed down by e^delta.
+    label = graph.components(graph.csr(R0.matrix))
+    lowest = np.full((2, label.max() + 1), np.inf)
+    np.minimum.at(lowest[0], label[:nm], M.E)
+    np.minimum.at(lowest[1], label[nm:], N.E)
+    e_min = np.where(lowest[0] < np.inf, lowest[0], lowest[1] / ed)
+    E_m, E_n = e_min[label[:nm]], e_min[label[nm:]] * ed
 
     # One shared base rate so the ratio of the two uniformization rates is
     # e^delta by construction, not by cancellation.
@@ -112,21 +107,15 @@ def uniformize_pair(M: Ctmc, N: Ctmc, R: PairRelation, delta: float) -> PairUnif
 
     curves = [_reach_curve(X, ORDERING_GRID) for X in (Mu, M, N, Nu)]
     if all(c is not None for c in curves):
-        lo_m, orig_m, orig_n, hi_n = curves
-        for k in range(len(ORDERING_GRID)):
-            ordered = (
-                lo_m[k] <= orig_m[k] + ORDERING_TOL
-                and orig_m[k] <= orig_n[k] + ORDERING_TOL
-                and orig_n[k] <= hi_n[k] + ORDERING_TOL
+        C = np.stack(curves)  # rows: slowed M, M, N, sped-up N
+        ordered = np.all(C[:-1] <= C[1:] + ORDERING_TOL, axis=0)
+        if not ordered.all():
+            warnings.warn(
+                f"reachability values at t={ORDERING_GRID[int(np.argmin(ordered))]} are not in the"
+                " assumed slow<=original<=fast order; the transformed pair is"
+                " returned unchecked",
+                OrderingAssumptionViolated,
+                stacklevel=2,
             )
-            if not ordered:
-                warnings.warn(
-                    f"reachability values at t={ORDERING_GRID[k]} are not in the"
-                    " assumed slow<=original<=fast order; the transformed pair is"
-                    " returned unchecked",
-                    OrderingAssumptionViolated,
-                    stacklevel=2,
-                )
-                break
 
     return PairUniformResult(m_uniform=Mu, n_uniform=Nu, q_m=q_m, q_n=q_n, relation=R0)

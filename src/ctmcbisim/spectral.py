@@ -34,7 +34,7 @@ from .errors import (
     WrongKind,
 )
 from . import graph
-from .model import Ctmc, _absorbing_states, normalize_goal, prune_unreachable
+from .model import Ctmc, _absorbing_states, _normal_form
 from .pairuniform import uniformize_pair
 from .transient import MAX_TERMS, _lengths, hit_exact_steps
 
@@ -363,7 +363,7 @@ def _prepare(M: Ctmc, delta: float) -> tuple[float, Ctmc, float]:
     """``e^delta`` (delta checked first), the goal-normalized chain and its
     uniform rate."""
     c = rate_factor(delta)
-    Mn = normalize_goal(prune_unreachable(M))
+    Mn = _normal_form(M)
     return c, Mn, _uniform_rate(Mn)
 
 
@@ -465,20 +465,17 @@ def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray
     return _jordan_bound_from(sd, rate, c, t_grid, tol)
 
 
-def _spectral_values(Mn: Ctmc, c: float, t_grid, tol: float) -> np.ndarray:
-    if is_embedded_acyclic(Mn):
-        return _acyclic_values(Mn, _uniform_rate(Mn), c, t_grid)
-    sd = decompose(Mn.P, tol=tol)
-    bound_from = _diag_bound_from if sd.kind == "diag" else _jordan_bound_from
-    return bound_from(sd, _uniform_rate(Mn), c, t_grid, tol)
-
-
 def spectral_curve(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
     """The spectral route over the whole grid: the exact finite sum for
     acyclic chains, the diagonal bound when P diagonalizes, and the block
     bound otherwise.  P is decomposed (within ``tol``) at most once."""
     c = rate_factor(delta)
-    return _spectral_values(normalize_goal(prune_unreachable(M)), c, t_grid, tol)
+    Mn = _normal_form(M)
+    if is_embedded_acyclic(Mn):
+        return _acyclic_values(Mn, _uniform_rate(Mn), c, t_grid)
+    sd = decompose(Mn.P, tol=tol)
+    bound_from = _diag_bound_from if sd.kind == "diag" else _jordan_bound_from
+    return bound_from(sd, _uniform_rate(Mn), c, t_grid, tol)
 
 
 def combined_bound(
@@ -497,10 +494,10 @@ def combined_bound(
     raising what :func:`spectral_curve` raised), to avoid a second
     decomposition.
     """
-    c, Mn, rate = _prepare(M, delta)
+    rate = _prepare(M, delta)[2]
     base = np.array([erlang_N_bound(rate * float(t), delta) for t in t_grid])
     try:
-        spec = _spectral_values(Mn, c, t_grid, tol) if spectral is None else spectral()
+        spec = spectral_curve(M, delta, t_grid, tol) if spectral is None else spectral()
     except NumericalFailure as exc:
         warnings.warn(
             f"spectral bound unavailable ({exc}); falling back to the"
@@ -516,7 +513,7 @@ def combined_bound(
 def spectral_report(M: Ctmc, tol: float = 1e-9) -> dict:
     """Decomposition summary of the goal-normalized jump matrix, decomposed
     within ``tol``."""
-    Mn = normalize_goal(prune_unreachable(M))
+    Mn = _normal_form(M)
     sd = decompose(Mn.P, tol=tol)
     return {
         "kind": sd.kind,
@@ -543,8 +540,7 @@ def triangle_bound_eps_delta(M: Ctmc, N: Ctmc, eps: float, delta: float, t_grid)
     m_mid, n_mid = res.m_prime, res.n_prime
     q_eps = max(M.max_rate(), m_mid.max_rate())
 
-    m_norm = normalize_goal(prune_unreachable(m_mid))
-    n_norm = normalize_goal(prune_unreachable(n_mid))
+    m_norm, n_norm = _normal_form(m_mid), _normal_form(n_mid)
     if m_norm.ids != n_norm.ids:
         raise RuntimeError("product chains diverged during normalization")
     identity = PairRelation.from_off_diagonal(

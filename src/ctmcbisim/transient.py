@@ -264,12 +264,13 @@ class SimulationResult:
 
 
 def _wilson(hits: int, n: int, confidence: float) -> tuple[float, float]:
+    """Wilson score interval of ``hits / n``; an end is exactly 0 or 1 when hits is 0 or n."""
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = hits / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (max(0.0, center - half) if hits else 0.0), (min(1.0, center + half) if hits < n else 1.0)
 
 
 #: the largest float below 1.0
