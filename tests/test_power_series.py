@@ -125,9 +125,14 @@ def diff_curve(M: Ctmc, c: float, t_grid: Sequence[float], tol: float = 1e-9) ->
 
 def _reach_curve(M: Ctmc, ts) -> list[float] | None:
     """Goal-reaching probabilities on a small grid, or None when the chain
-    has no usable goal marking."""
+    has no usable goal marking.  A goal that cannot be reached from the
+    initial state is read through the two-state normal form, whose curve
+    is 0.0 at every t; the earlier code gave None there."""
     try:
-        Mn = normalize_goal(prune_unreachable(M))
+        pruned = prune_unreachable(M)
+        if M.goal and not pruned.goal:
+            return [0.0 for _ in ts]
+        Mn = normalize_goal(pruned)
         return [timed_reach(Mn, None, float(t)) for t in ts]
     except (CtmcError, ValueError):
         return None
