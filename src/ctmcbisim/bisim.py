@@ -236,7 +236,8 @@ def _max_flow(
 ) -> _Flow:
     """Edmonds–Karp on the transportation network of a pair: source ->
     ``succ_s[i]`` (capacity its probability) -> related ``succ_t[j]``
-    (unbounded) -> sink (capacity its probability).
+    (no capacity: its flow never passes that of ``succ_s[i]``) -> sink
+    (capacity its probability).
 
     ``related`` is the boolean relation matrix.  Each
     breadth-first search queues the ``succ_s`` nodes with supply left, in
@@ -252,7 +253,6 @@ def _max_flow(
     target = thr << (exp - exp_thr)
     supply = [c << (exp - exp_s) for c in cap_s]
     demand = [c << (exp - exp_t) for c in cap_t]
-    unbounded = 2 << exp  # any flow is <= 1, so capacity 2 never binds
     m = len(succ_s)
     # nbr[i]: the columns j with succ_s[i] related to succ_t[j], in order
     nbr: list[list[int]] = [[] for _ in succ_s]
@@ -266,7 +266,7 @@ def _max_flow(
     for i, js in enumerate(nbr):
         for j in js:
             if demand[j]:
-                x = min(supply[i], demand[j], unbounded)
+                x = min(supply[i], demand[j])
                 flow[i][j] = x
                 supply[i] -= x
                 demand[j] -= x
@@ -289,9 +289,8 @@ def _max_flow(
         end = -1
         for u in queue:  # grows while it is walked
             if u < m:
-                fu = flow[u]
                 for j in nbr[u]:
-                    if prev[m + j] is None and fu[j] < unbounded:
+                    if prev[m + j] is None:
                         prev[m + j] = u
                         queue.append(m + j)
             elif demand[u - m] > 0:
@@ -312,7 +311,6 @@ def _max_flow(
         while True:
             i = prev[m + j]
             forward.append((i, j))
-            aug = min(aug, unbounded - flow[i][j])
             if prev[i] < 0:
                 aug = min(aug, supply[i])
                 break

@@ -119,13 +119,13 @@ def _once(fn):
 
 
 def cmd_bounds(args) -> int:
-    M = load_model(args.model)
-    Mn = _normal_form(M)
-    grid = time_grid(args.tmax, args.steps)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     unknown = [w for w in which if w not in _BOUND_NAMES]
     if unknown:
         raise ValueError(f"unknown bound column(s) {unknown}; choose from {_BOUND_NAMES}")
+    M = load_model(args.model)
+    Mn = _normal_form(M)
+    grid = time_grid(args.tmax, args.steps)
     q = float(Mn.max_rate())
     # the spectral and combined columns share one decomposition
     spectral = _once(lambda: spectral_curve(Mn, args.delta, grid, args.tol))

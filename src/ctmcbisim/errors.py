@@ -84,8 +84,10 @@ class NotBisimilar(NegativeVerdict):
 
 
 class JumpBudgetExceeded(NumericalFailure):
-    """Some simulated path was still running after the jump budget
-    (a fast or zero-cost cycle, or a horizon too long for the rates)."""
+    """Some simulated path was still running after taking the budget's
+    number of jumps (a fast or zero-cost cycle, or a horizon too long for
+    the rates); a path that has reached the goal or an absorbing state is
+    no longer running."""
 
     def __init__(self, max_jumps: int):
         self.max_jumps = max_jumps

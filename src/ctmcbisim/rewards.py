@@ -63,8 +63,9 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
 
     Fail states are exempt: they never charge the budget anyway, so they
     stay and are given the sentinel reward 1 in the result (which keeps the
-    downstream clock rescaling total).  Eliminating the initial state or an
-    absorbing state is impossible and raises; so do zero-reward cycles.
+    downstream clock rescaling total).  Eliminating the initial state, a
+    goal state or an absorbing state is impossible and raises; so do
+    zero-reward cycles.
     Processing is one state at a time in ascending index order: remove the
     self-loop, then splice the row into every predecessor.
     """
@@ -99,7 +100,7 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
 
     lost = [g for g in M.goal if g in zs]
     if lost:  # a zero-reward goal cannot be spliced away
-        raise KeyError(lost[0])
+        raise ZeroReward(lost[0])
     keep = [s for s in range(M.n) if s not in set(zs)]
     return restrict(replace(M, P=P, E=E, rewards=rewards, rate_exprs=None), keep)
 

@@ -465,17 +465,21 @@ def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray
     return _jordan_bound_from(sd, rate, c, t_grid, tol)
 
 
+def _spectral_from(c: float, Mn: Ctmc, rate: float, t_grid, tol: float) -> np.ndarray:
+    """:func:`spectral_curve` on the triple that ``_prepare`` returns."""
+    if is_embedded_acyclic(Mn):
+        return _acyclic_values(Mn, rate, c, t_grid)
+    sd = decompose(Mn.P, tol=tol)
+    bound_from = _diag_bound_from if sd.kind == "diag" else _jordan_bound_from
+    return bound_from(sd, rate, c, t_grid, tol)
+
+
 def spectral_curve(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray:
     """The spectral route over the whole grid: the exact finite sum for
     acyclic chains, the diagonal bound when P diagonalizes, and the block
-    bound otherwise.  P is decomposed (within ``tol``) at most once."""
-    c = rate_factor(delta)
-    Mn = _normal_form(M)
-    if is_embedded_acyclic(Mn):
-        return _acyclic_values(Mn, _uniform_rate(Mn), c, t_grid)
-    sd = decompose(Mn.P, tol=tol)
-    bound_from = _diag_bound_from if sd.kind == "diag" else _jordan_bound_from
-    return bound_from(sd, _uniform_rate(Mn), c, t_grid, tol)
+    bound otherwise.  Delta and the uniform rate are checked first, then P
+    is decomposed (within ``tol``) at most once."""
+    return _spectral_from(*_prepare(M, delta), t_grid, tol)
 
 
 def combined_bound(
@@ -494,10 +498,10 @@ def combined_bound(
     raising what :func:`spectral_curve` raised), to avoid a second
     decomposition.
     """
-    rate = _prepare(M, delta)[2]
+    c, Mn, rate = _prepare(M, delta)
     base = np.array([erlang_N_bound(rate * float(t), delta) for t in t_grid])
     try:
-        spec = spectral_curve(M, delta, t_grid, tol) if spectral is None else spectral()
+        spec = _spectral_from(c, Mn, rate, t_grid, tol) if spectral is None else spectral()
     except NumericalFailure as exc:
         warnings.warn(
             f"spectral bound unavailable ({exc}); falling back to the"

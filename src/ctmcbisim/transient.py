@@ -357,9 +357,13 @@ def simulate_paths(
     All paths are advanced in lockstep as vector operations.  Each next
     state is drawn exactly from a guide table built once per call
     (``_guide_table``, O(nnz) memory): expected O(1) work per path and
-    jump, and the same column as a scan of the dense cumulative row.
-    Raises ValueError, before any random draw, for a bad ``n``, ``seed``,
-    ``max_jumps``, ``horizon``, ``confidence`` or ``budget_weights``.
+    jump, and the same column as a scan of the dense cumulative row.  A
+    path stops on the jump that reaches the goal or an absorbing state,
+    and when its clock passes the horizon.  Raises
+    :class:`JumpBudgetExceeded` when a path is still running after
+    ``max_jumps`` jumps, and ValueError, before any random draw, for a bad
+    ``n``, ``seed``, ``max_jumps``, ``horizon``, ``confidence`` or
+    ``budget_weights``.
     """
     for name, value, least in (("n", n, 1), ("seed", seed, 0), ("max_jumps", max_jumps, 1)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -378,15 +382,14 @@ def simulate_paths(
     g = M.goal_state()
     rng = np.random.default_rng(seed)
     table = _guide_table(M.P, M.succ)
-    absorbing = _absorbing_states(M.P)
+    # a path stops on the jump that reaches the goal or an absorbing state
+    stops = _absorbing_states(M.P)
+    stops[g] = True
 
     state = np.full(n, M.initial)
     clock = np.zeros(n)
-    hit = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    if M.initial == g:
-        hit[:] = True
-        active[:] = False
+    hit = np.full(n, M.initial == g)
+    active = np.full(n, not stops[M.initial])
 
     jumps = 0
     while active.any():
@@ -395,29 +398,16 @@ def simulate_paths(
             raise JumpBudgetExceeded(max_jumps)
         idx = np.flatnonzero(active)
         s = state[idx]
-        stuck = absorbing[s]
-        if stuck.any():
-            active[idx[stuck]] = False
-            idx = idx[~stuck]
-            s = s[~stuck]
-            if idx.size == 0:
-                continue
         sojourn = rng.exponential(1.0, idx.size) / M.E[s]
         clock[idx] += weights[s] * sojourn
         expired = clock[idx] > horizon
-        if expired.any():
-            active[idx[expired]] = False
-            idx = idx[~expired]
-            s = s[~expired]
-            if idx.size == 0:
-                continue
-        u = rng.random(idx.size)
-        nxt = _next_states(table, s, u)
+        active[idx[expired]] = False
+        idx = idx[~expired]
+        # a zero-size draw leaves the generator as it was
+        nxt = _next_states(table, s[~expired], rng.random(idx.size))
         state[idx] = nxt
-        arrived = nxt == g
-        if arrived.any():
-            hit[idx[arrived]] = True
-            active[idx[arrived]] = False
+        hit[idx] = nxt == g
+        active[idx] = ~stops[nxt]
 
     hits = int(hit.sum())
     low, high = _wilson(hits, n, confidence)

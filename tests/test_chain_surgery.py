@@ -438,6 +438,11 @@ def test_reward_transformations_match_oracle(family, seed):
             _run(rewards.remove_zero_reward_self_loop, M, s), _run(remove_zero_reward_self_loop, M, s)
         )
     new, old = _run(rewards.eliminate_zero_reward_states, M), _run(eliminate_zero_reward_states, M)
+    if isinstance(old, KeyError):
+        # the oracle's remap has no entry for a zero-reward goal; the
+        # library names that state with ZeroReward instead
+        assert old.args[0] in M.goal and M.rewards[old.args[0]] == 0.0
+        old = ZeroReward(old.args[0])
     _assert_same(new, old)
     _assert_same(_then(rewards.hat_transform, new), _then(hat_transform, old))
     _assert_same(_run(rewards.hat_transform, M), _run(hat_transform, M))

@@ -437,3 +437,28 @@ def test_malformed_model_json_exits_2(capsys, tmp_path):
     p.write_text("{this is not json")
     rc, _, err = _run(capsys, ["spectral-report", "-m", str(p)])
     assert rc == 2
+
+
+def test_reward_reach_zero_reward_goal_exits_2_naming_the_state(capsys, tmp_path):
+    p = tmp_path / "loop.json"
+    M = make_ctmc(
+        [("s", (), 1.0, 1.0), ("g", ("g",), 1.0, 0.0)],
+        [("s", "g", 1.0), ("g", "s", 1.0)],
+        initial="s",
+        goal=("g",),
+    )
+    save_model(M, str(p))
+    rc, out, err = _run(capsys, ["reward-reach", "-m", str(p), "--bound", "1.0"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ZeroReward:") and "state 1 has zero reward" in err
+
+
+def test_bounds_names_an_unknown_column_before_reading_the_model(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text("{this is not json")
+    rc, out, err = _run(capsys, ["bounds", "-m", str(p), "--delta", "0.1", "--which", "exact,bogus"])
+    assert rc == 2
+    assert out == ""
+    assert "unknown bound column(s) ['bogus']" in err
+    assert "JSONDecode" not in err

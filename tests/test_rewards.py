@@ -271,3 +271,23 @@ def test_reward_bound_is_uniformization_bound_on_hat_rate():
         assert reward_bound(eps, delta, q_hat, r) == uniformization_bound(
             eps, delta, q_hat, r
         )
+
+
+def _zero_reward_goal_loop():
+    """``s`` (reward 1) and the goal ``g`` (reward 0), with ``s -> g`` and
+    ``g -> s``: the goal is zero-reward and not absorbing."""
+    return make_ctmc(
+        [("s", (), 1.0, 1.0), ("g", ("g",), 1.0, 0.0)],
+        [("s", "g", 1.0), ("g", "s", 1.0)],
+        initial="s",
+        goal=("g",),
+    )
+
+
+def test_zero_reward_goal_that_is_not_absorbing_raises_zero_reward():
+    M = _zero_reward_goal_loop()
+    with pytest.raises(ZeroReward) as info:
+        eliminate_zero_reward_states(M)
+    assert info.value.state == M.index("g")
+    with pytest.raises(ZeroReward):
+        reward_reach(M, None, 1.0)

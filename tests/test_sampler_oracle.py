@@ -8,6 +8,11 @@ temporary per jump.  It is kept verbatim apart from an ``_oracle`` suffix
 on its name.  Both make the same random calls in the same order, so every
 seeded ``SimulationResult`` must be equal, and ``JumpBudgetExceeded`` must
 be raised at the same jump.
+
+``simulate_paths_stuck_pass`` further down is the library's loop from
+before a path stopped on the jump that reaches an absorbing state; it
+makes the same random calls too, and differs only where its extra pass
+over such paths ran past the jump budget.
 """
 
 from __future__ import annotations
@@ -21,10 +26,24 @@ from hypothesis import strategies as st
 
 from ctmcbisim import graph, make_ctmc, validate
 from ctmcbisim.errors import JumpBudgetExceeded
-from ctmcbisim.model import ABSORBING_EPS, Ctmc
-from ctmcbisim.transient import SimulationResult, _guide_table, _next_states, _wilson, simulate_paths
+from ctmcbisim.model import ABSORBING_EPS, Ctmc, _absorbing_states
+from ctmcbisim.transient import (
+    SimulationResult,
+    _check_horizon,
+    _guide_table,
+    _next_states,
+    _wilson,
+    simulate_paths,
+)
 
-from helpers import random_dag_chain, random_labeled_chain, random_rewarded_chain, random_uniform_chain
+from helpers import (
+    random_bisimilar_pair,
+    random_dag_chain,
+    random_labeled_chain,
+    random_rewarded_chain,
+    random_stable_chain,
+    random_uniform_chain,
+)
 
 # ---------------------------------------------------------------- oracle
 
@@ -353,3 +372,180 @@ def test_same_result_on_single_successor_rows(chain, seed):
     M = validate(replace(M, P=P))
     assert 1 in np.diff(M.succ[0])[:-1]
     _same(M, 500, 7.0, seed)
+
+
+# ---------------------------------------------------------------- paths that stop on absorption
+
+
+def simulate_paths_stuck_pass(
+    M: Ctmc,
+    n: int,
+    horizon: float,
+    seed: int,
+    budget_weights: np.ndarray | None = None,
+    confidence: float = 0.95,
+    max_jumps: int = 100_000,
+) -> SimulationResult:
+    """``simulate_paths`` as it was while a path that jumped into an
+    absorbing non-goal state stayed active for one more loop pass, which
+    only found it stuck and counted against ``max_jumps``; kept verbatim
+    apart from its name and this docstring."""
+    for name, value, least in (("n", n, 1), ("seed", seed, 0), ("max_jumps", max_jumps, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(
+                f"{name} must be an integer >= {least}, got {value!r}"
+                + ("; need at least one path" if name == "n" else "")
+            )
+    _check_horizon(horizon)
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    weights = np.ones(M.n) if budget_weights is None else np.asarray(budget_weights, dtype=float)
+    if weights.shape != (M.n,) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(
+            f"budget_weights must be {M.n} finite nonnegative numbers, got shape {weights.shape}"
+        )
+    g = M.goal_state()
+    rng = np.random.default_rng(seed)
+    table = _guide_table(M.P, M.succ)
+    absorbing = _absorbing_states(M.P)
+
+    state = np.full(n, M.initial)
+    clock = np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+    if M.initial == g:
+        hit[:] = True
+        active[:] = False
+
+    jumps = 0
+    while active.any():
+        jumps += 1
+        if jumps > max_jumps:
+            raise JumpBudgetExceeded(max_jumps)
+        idx = np.flatnonzero(active)
+        s = state[idx]
+        stuck = absorbing[s]
+        if stuck.any():
+            active[idx[stuck]] = False
+            idx = idx[~stuck]
+            s = s[~stuck]
+            if idx.size == 0:
+                continue
+        sojourn = rng.exponential(1.0, idx.size) / M.E[s]
+        clock[idx] += weights[s] * sojourn
+        expired = clock[idx] > horizon
+        if expired.any():
+            active[idx[expired]] = False
+            idx = idx[~expired]
+            s = s[~expired]
+            if idx.size == 0:
+                continue
+        u = rng.random(idx.size)
+        nxt = _next_states(table, s, u)
+        state[idx] = nxt
+        arrived = nxt == g
+        if arrived.any():
+            hit[idx[arrived]] = True
+            active[idx[arrived]] = False
+
+    hits = int(hit.sum())
+    low, high = _wilson(hits, n, confidence)
+    return SimulationResult(
+        estimate=hits / n, ci_low=low, ci_high=high, hits=hits, paths=n, confidence=confidence
+    )
+
+
+def _outcome(sampler, M: Ctmc, paths: int, horizon: float, seed: int, **kwargs):
+    try:
+        return sampler(M, paths, horizon, seed, **kwargs)
+    except JumpBudgetExceeded as exc:
+        return ("JumpBudgetExceeded", str(exc), exc.max_jumps)
+
+
+def _same_unless_stuck(M: Ctmc, paths: int, horizon: float, seed: int, max_jumps: int, **kwargs):
+    """The same ``SimulationResult`` or error as the stuck-pass sampler,
+    except where that sampler ran out of budget only on its stuck pass: then
+    one more jump of budget lets it finish with this result, so every path
+    still active after ``max_jumps`` jumps sat in an absorbing state."""
+    got = _outcome(simulate_paths, M, paths, horizon, seed, max_jumps=max_jumps, **kwargs)
+    want = _outcome(simulate_paths_stuck_pass, M, paths, horizon, seed, max_jumps=max_jumps, **kwargs)
+    if isinstance(got, SimulationResult) and isinstance(want, tuple):
+        want = simulate_paths_stuck_pass(M, paths, horizon, seed, max_jumps=max_jumps + 1, **kwargs)
+    assert got == want
+    return got
+
+
+def _with_fail(M: Ctmc, rng: np.random.Generator) -> Ctmc:
+    """``M`` with an absorbing ``fail`` state that takes half the mass of a
+    random half of its transient rows (at least one)."""
+    n, g = M.n, M.goal_state()
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = M.P
+    P[n, n] = 1.0
+    rows = [s for s in range(n) if s != g and (rng.random() < 0.5 or s == M.initial)]
+    P[rows] /= 2.0
+    P[rows, n] += 0.5
+    return validate(replace(
+        M, ids=M.ids + ("fail",), labels=M.labels + (("fail",),), P=P, E=np.append(M.E, 1.0),
+        fail=(n,), rewards=None, rate_exprs=None,
+    ))
+
+
+def _absorbing_initial(M: Ctmc, rng: np.random.Generator) -> Ctmc:
+    P = M.P.copy()
+    P[M.initial] = np.eye(M.n)[M.initial]
+    return validate(replace(M, P=P))
+
+
+def _initial_goal(M: Ctmc, rng: np.random.Generator) -> Ctmc:
+    return replace(M, initial=M.goal_state())
+
+
+_GENERATORS = {
+    "uniform": random_uniform_chain,
+    "dag": random_dag_chain,
+    "stable": random_stable_chain,
+    "labeled": random_labeled_chain,
+    "bisimilar": lambda rng: random_bisimilar_pair(rng, 0.1, 0.2)[1],
+    "rewarded": random_rewarded_chain,
+}
+_CHANGES = {"none": lambda M, rng: M, "fail": _with_fail, "absorbing": _absorbing_initial, "goal": _initial_goal}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chain=st.integers(0, 3_000),
+    kind=st.sampled_from(sorted(_GENERATORS)),
+    change=st.sampled_from(sorted(_CHANGES)),
+    seed=_SEEDS,
+    horizon=_HORIZONS,
+    paths=st.sampled_from((1, 7, 300)),
+)
+def test_same_result_as_the_stuck_pass_sampler(chain, kind, change, seed, horizon, paths):
+    rng = np.random.default_rng(chain)
+    M = _CHANGES[change](_GENERATORS[kind](rng), rng)
+    weights = M.rewards if M.rewards is not None else rng.choice((0.0, 0.5, 1.0, 2.0), M.n)
+    for max_jumps in (3, 50, 100_000):
+        for budget in (None, weights):
+            _same_unless_stuck(M, paths, horizon, seed, max_jumps, budget_weights=budget)
+
+
+def test_a_jump_into_an_absorbing_state_is_the_last_one_counted():
+    # s -> f with f absorbing: one jump, then the path has stopped
+    M = make_ctmc(
+        [("s", (), 1.0), ("f", ("f",), 1.0), ("g", ("g",), 1.0)],
+        [("s", "f", 1.0), ("f", "f", 1.0), ("g", "g", 1.0)],
+        initial="s",
+        goal=("g",),
+        fail=("f",),
+    )
+    res = simulate_paths(M, 100, 1e6, 0, max_jumps=1)
+    assert (res.hits, res.estimate) == (0, 0.0)
+    with pytest.raises(JumpBudgetExceeded):
+        simulate_paths_stuck_pass(M, 100, 1e6, 0, max_jumps=1)
+    assert _same_unless_stuck(M, 100, 1e6, 0, 1) == res
+    # s -> g: the same single jump, which reaches the goal
+    M = make_ctmc(
+        [("s", (), 1.0), ("g", ("g",), 1.0)], [("s", "g", 1.0), ("g", "g", 1.0)], initial="s", goal=("g",)
+    )
+    assert simulate_paths(M, 100, 1e6, 0, max_jumps=1).hits == 100

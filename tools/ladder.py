@@ -11,16 +11,12 @@ result fields, and hands it to :func:`main` with its families of rungs.
 It times the ``src/`` of the checkout at PATH on the chains of this
 checkout's ``bench/gen.py``, so two checkouts are timed on the same chains.
 Each run is one child process with BLAS pinned to one thread, so its max
-RSS is that of its rung alone.  Right before each run the parent times
-``kernel()`` of ``bench/calib.py``, a fixed probe of the machine's speed at
-that moment, ``PROBES`` times and keeps the median.  A rung runs ``RUNS``
-times; the record holds the median and quartiles of the seconds,
-``median_ref_s`` (the median over runs of the seconds scaled to a probe
-time of ``REF_PROBE_S``, which cancels some of the drift of a shared
-machine) and the largest max RSS, plus the other fields of the first run
-and the digest, so two labels can be checked for equal results.  Once a
-run passes ``SKIP_AFTER_S`` seconds, its rung runs no more and the larger
-rungs of its family are skipped and recorded as skipped.  The record goes
+RSS is that of its rung alone.  A rung runs ``RUNS`` times; the record
+holds the median and quartiles of the seconds and the largest max RSS,
+plus the other fields of the first run and the digest, so two labels can
+be checked for equal results.  Once a run passes ``SKIP_AFTER_S`` seconds,
+its rung runs no more and the larger rungs of its family are skipped and
+recorded as skipped.  The record goes
 into FILE under ``runs[NAME]``; other labels are kept.  If a rung's digest
 differs from the one another label in FILE recorded for that rung, the
 script still writes the record and then exits with status 1, naming each
@@ -43,10 +39,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(os.path.dirname(HERE), "bench")
 RUNS = 3
 SKIP_AFTER_S = 30.0
-#: probe time, in seconds, that ``median_ref_s`` scales every run to
-REF_PROBE_S = 0.010
-#: probe calls per run; one call alone sometimes took 5x its usual 15 ms
-PROBES = 5
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -55,17 +47,12 @@ def max_rss_mb() -> float:
 
 
 def run_rung(script: str, src: str, family: str, n: int) -> list[dict]:
-    if BENCH not in sys.path:
-        sys.path.insert(0, BENCH)
-    from calib import kernel  # imported in the parent only: no child's max RSS holds its arrays
-
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     out = []
     for _ in range(RUNS):
-        probe_s = statistics.median(kernel() for _ in range(PROBES))
         argv = [sys.executable, os.path.abspath(script), "--child", src, family, str(n)]
         res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        out.append({**json.loads(res.stdout.strip().splitlines()[-1]), "probe_s": probe_s})
+        out.append(json.loads(res.stdout.strip().splitlines()[-1]))
         if out[-1]["seconds"] > SKIP_AFTER_S:
             break
     return out
@@ -75,11 +62,10 @@ def summary(runs: list[dict]) -> dict:
     secs = sorted(r["seconds"] for r in runs)
     q1, q2, q3 = statistics.quantiles(secs, n=4, method="inclusive") if len(secs) > 1 else secs * 3
     digests = {r["digest"] for r in runs}
-    fields = {k: v for k, v in runs[0].items() if k not in ("seconds", "max_rss_mb", "digest", "probe_s")}
+    fields = {k: v for k, v in runs[0].items() if k not in ("seconds", "max_rss_mb", "digest")}
     return {
         "runs": len(runs),
         "median_s": round(q2, 4),
-        "median_ref_s": round(statistics.median(r["seconds"] * REF_PROBE_S / r["probe_s"] for r in runs), 4),
         "q1_s": round(q1, 4),
         "q3_s": round(q3, 4),
         "max_rss_mb": round(max(r["max_rss_mb"] for r in runs), 1),
@@ -128,8 +114,7 @@ def main(script: str, child: Callable[[str, str, int], dict], families: dict[str
             doc = json.load(fh)
     doc["harness"] = (
         f"{harness}, {RUNS} runs per rung in child processes with BLAS on one thread; "
-        f"larger rungs skipped after a run past {SKIP_AFTER_S:g} s; median_ref_s scales each run "
-        f"to a bench/calib.py probe time of {REF_PROBE_S:g} s (median of {PROBES} probes right before it)"
+        f"larger rungs skipped after a run past {SKIP_AFTER_S:g} s"
     )
     rungs = ladder(script, src, families)
     doc.setdefault("runs", {})[args.label] = {
