@@ -61,14 +61,6 @@ def _check_tolerances(eps: float, delta: float) -> None:
             raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def reflexive_symmetric_closure(pairs: Iterable[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
-    out = {(s, s) for s in range(n)}
-    for s, t in pairs:
-        out.add((s, t))
-        out.add((t, s))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class PairRelation:
     """Reflexive symmetric relation on state indices with its tolerances."""
@@ -93,7 +85,12 @@ class PairRelation:
     def from_off_diagonal(
         cls, pairs: Iterable[tuple[int, int]], n: int, eps: float, delta: float
     ) -> "PairRelation":
-        return cls(n=n, pairs=reflexive_symmetric_closure(pairs, n), eps=eps, delta=delta)
+        """The reflexive symmetric closure of ``pairs`` on ``n`` states."""
+        closed = {(s, s) for s in range(n)}
+        for s, t in pairs:
+            closed.add((s, t))
+            closed.add((t, s))
+        return cls(n=n, pairs=frozenset(closed), eps=eps, delta=delta)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
@@ -181,12 +178,7 @@ def compose(R1: PairRelation, R2: PairRelation) -> PairRelation:
         raise ValueError("relations live on different state counts")
     adj1, adj2 = R1.adjacency, R2.adjacency
     pairs = {(s, u) for s in range(R1.n) for u in set().union(*(adj2[t] for t in adj1[s]))}
-    return PairRelation(
-        n=R1.n,
-        pairs=reflexive_symmetric_closure(pairs, R1.n),
-        eps=R1.eps + R2.eps,
-        delta=R1.delta + R2.delta,
-    )
+    return PairRelation.from_off_diagonal(pairs, R1.n, R1.eps + R2.eps, R1.delta + R2.delta)
 
 
 # --------------------------------------------------------------------------
@@ -428,8 +420,7 @@ def _initial_related(M: Ctmc, delta: float) -> np.ndarray:
     """The boolean matrix of the pairs of states with the same labels and
     rewards and exit rates within a factor e^delta."""
     lnE = np.log(M.E)
-    codes = {ls: k for k, ls in enumerate(set(M.label_sets))}
-    label = np.array([codes[ls] for ls in M.label_sets])
+    label = _first_seen(M.label_sets)
     ok = label[:, None] == label[None, :]
     # the rate test by blocks of rows, with no n x n float temporary; a NaN
     # rate gap is not > delta, so it separates no pair (as in is_bisimulation)
@@ -490,6 +481,19 @@ def _into_preds(pred: graph.Index, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flow_failures(rows: list[_Row], related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
+    """Check each pair ``(s, t)`` of the ``(k, 2)`` array ``pairs`` in
+    order, ``(s, t)`` and then ``(t, s)``, and yield ``(i, (a, b), f)`` for
+    each pair ``i`` whose flow ``f`` in orientation ``(a, b)`` falls short
+    of the threshold."""
+    for i, (s, t) in enumerate(pairs.tolist()):
+        for a, b in ((s, t), (t, s)):
+            f = _max_flow(rows[a], rows[b], related, threshold, stop=True)
+            if f.value < f.target:
+                yield i, (a, b), f
+                break
+
+
 def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
     """Shrink the boolean relation matrix ``related`` in place to the
     greatest fixpoint, one sweep at a time, and yield each sweep's checked
@@ -513,17 +517,12 @@ def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
     rows = [_row(M, s) for s in range(M.n)]
     threshold = _threshold(eps, eta)
     cut = _mass_cutoff(threshold, M.n)
-
-    def passes(s: int, t: int) -> bool:
-        f = _max_flow(rows[s], rows[t], related, threshold, stop=True)
-        return f.value >= f.target
-
     todo = np.argwhere(np.triu(related, 1))
     while len(todo):
         fails = _mass_rejects(M.P, related, todo, cut)
         kept = np.flatnonzero(~fails)
-        for i, (s, t) in zip(kept.tolist(), todo[kept].tolist()):
-            fails[i] = not (passes(s, t) and passes(t, s))
+        for i, _, _ in _flow_failures(rows, related, threshold, todo[kept]):
+            fails[kept[i]] = True
         drop = todo[fails]
         related[drop[:, 0], drop[:, 1]] = related[drop[:, 1], drop[:, 0]] = False
         yield todo, drop
@@ -562,34 +561,30 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
     """Verify label equality, the rate condition, the flow condition and,
     when the chain has rewards, reward equality for every pair; reports
     the first failure.  Rewards are checked after the other conditions
-    have passed for every pair."""
+    have passed for every pair.  Labels, rates and rewards are screened
+    on arrays; flows run only for the pairs before the first label or
+    rate failure."""
     if R.n != M.n:
         raise ValueError("relation size does not match the chain")
-    lnE = np.log(M.E)
-    labels = M.label_sets
-    rows = [_row(M, s) for s in range(M.n)]
-    threshold = _threshold(R.eps, eta)
-    pairs = R.off_diagonal()
-    for s, t in pairs:
-        if labels[s] != labels[t]:
-            return RelationCheck(False, (s, t), "label", f"{labels[s]} != {labels[t]}")
-        gap = abs(lnE[s] - lnE[t])
-        if gap > R.delta + DELTA_SLACK:
-            return RelationCheck(False, (s, t), "delta", f"|ln E(s) - ln E(t)| = {gap:.12g}")
-        for a, b in ((s, t), (t, s)):
-            f = _max_flow(rows[a], rows[b], R.matrix, threshold, stop=True)
-            if f.value < f.target:
-                return RelationCheck(
-                    False,
-                    (a, b),
-                    "eps",
-                    f"max related mass {_related_mass(f):.12g} < 1 - eps",
-                )
-    if M.rewards is not None:
+    pairs = np.argwhere(np.triu(R.matrix, 1))  # R.off_diagonal(), in order
+    s, t = pairs.T
+    labels, label, lnE = M.label_sets, _first_seen(M.label_sets), np.log(M.E)
+    # a NaN rate gap is not > delta, so it fails no pair
+    bad = np.flatnonzero((label[s] != label[t]) | (np.abs(lnE[s] - lnE[t]) > R.delta + DELTA_SLACK))
+    stop = int(bad[0]) if len(bad) else len(pairs)
+    rows = [_row(M, v) for v in range(M.n)]
+    for _, pair, f in _flow_failures(rows, R.matrix, _threshold(R.eps, eta), pairs[:stop]):
+        return RelationCheck(False, pair, "eps", f"max related mass {_related_mass(f):.12g} < 1 - eps")
+    if len(bad):
+        a, b = pairs[stop].tolist()
+        if labels[a] != labels[b]:
+            return RelationCheck(False, (a, b), "label", f"{labels[a]} != {labels[b]}")
+        return RelationCheck(False, (a, b), "delta", f"|ln E(s) - ln E(t)| = {abs(lnE[a] - lnE[b]):.12g}")
+    differ = np.flatnonzero(M.rewards[s] != M.rewards[t]) if M.rewards is not None else []
+    if len(differ):
+        a, b = pairs[differ[0]].tolist()
         rewards = M.rewards.tolist()
-        for s, t in pairs:
-            if rewards[s] != rewards[t]:
-                return RelationCheck(False, (s, t), "reward", f"{rewards[s]!r} != {rewards[t]!r}")
+        return RelationCheck(False, (a, b), "reward", f"{rewards[a]!r} != {rewards[b]!r}")
     return RelationCheck(True)
 
 

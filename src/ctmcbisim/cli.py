@@ -119,7 +119,9 @@ def _once(fn):
 
 
 def cmd_bounds(args) -> int:
-    which = [w.strip() for w in args.which.split(",") if w.strip()]
+    which = list(dict.fromkeys(w.strip() for w in args.which.split(",") if w.strip()))
+    if not which:
+        raise ValueError(f"--which names no bound column; choose from {_BOUND_NAMES}")
     unknown = [w for w in which if w not in _BOUND_NAMES]
     if unknown:
         raise ValueError(f"unknown bound column(s) {unknown}; choose from {_BOUND_NAMES}")

@@ -7,6 +7,7 @@ round-trip exactly; cells for inapplicable values (NaN) are left empty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,7 @@ class BoundCurve:
         return self.columns[name]
 
     def to_csv(self) -> str:
-        header = "t," + ",".join(self.columns)
-        lines = [header]
+        lines = [",".join(["t", *self.columns])]
         for i, t in enumerate(self.times):
             cells = [_fmt(t)] + [_fmt(col[i]) for col in self.columns.values()]
             lines.append(",".join(cells))
@@ -65,4 +65,6 @@ def time_grid(tmax: float, steps: int) -> np.ndarray:
     """Evenly spaced grid 0..tmax inclusive with ``steps`` intervals."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not 0.0 <= tmax < math.inf:
+        raise ValueError(f"tmax must be a finite number >= 0, got {tmax!r}")
     return np.linspace(0.0, float(tmax), steps + 1)

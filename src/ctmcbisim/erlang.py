@@ -36,11 +36,14 @@ def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
 
 
 def erlang_diff_prefix(c: float, t: float, n_max: int) -> np.ndarray:
-    """``out[n] = erlang_diff(n, c, t)`` for n = 0..n_max (vectorized)."""
-    if c < 1.0:
-        raise ValueError("acceleration factor must be >= 1")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    """``out[n] = erlang_diff(n, c, t)`` for n = 0..n_max (vectorized).
+
+    ``t = inf``, the infinite horizon of the bound curves, gives NaN past
+    ``out[0]`` unless ``c == 1``; the spectral routes clamp it to 1."""
+    if not 1.0 <= c < math.inf:
+        raise ValueError(f"c (the acceleration factor) must be a finite number >= 1, got {c!r}")
+    if not t >= 0.0:
+        raise ValueError(f"t must be a number >= 0, got {t!r}")
     out = np.zeros(n_max + 1)
     if t == 0.0 or c == 1.0 or n_max == 0:
         return out
@@ -83,12 +86,8 @@ def erlang_diff(n: int, c: float, t: float) -> float:
     """Exact gap for the length-n chain: sum_{k<n} t^k/k! (e^-t - c^k e^-ct)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if c < 1.0:
-        raise ValueError("acceleration factor must be >= 1")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if n == 0 or t == 0.0 or c == 1.0:
-        return 0.0
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be a finite number >= 0, got {t!r}")
     return float(erlang_diff_prefix(c, t, n)[n])
 
 

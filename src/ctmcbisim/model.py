@@ -274,9 +274,9 @@ def direct_sum(M: Ctmc, N: Ctmc) -> Ctmc:
 
 
 def scale(M: Ctmc, c: float) -> Ctmc:
-    """Multiply every exit rate by ``c > 0``; jump probabilities unchanged."""
-    if not c > 0.0:
-        raise NonpositiveScale(f"scale factor must be positive, got {c!r}")
+    """Multiply every exit rate by a finite ``c > 0``; jump probabilities unchanged."""
+    if not 0.0 < c < math.inf:
+        raise NonpositiveScale(f"scale factor must be positive and finite, got {c!r}")
     return replace(M, E=M.E * c, rate_exprs=None)
 
 
@@ -386,6 +386,8 @@ def uniformize(M: Ctmc, q: float | None = None) -> Ctmc:
     max_rate = M.max_rate()
     if q is None:
         q = max_rate
+    elif not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
     if q < max_rate * (1.0 - 1e-12):
         raise RateTooSmall(q, max_rate)
     w = M.E / q
