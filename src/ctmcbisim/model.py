@@ -43,6 +43,12 @@ def _absorbing_states(P: np.ndarray) -> np.ndarray:
     return np.diag(P) >= 1.0 - ABSORBING_EPS
 
 
+def _label_twin(M: Ctmc, s: int) -> int | None:
+    """The first state other than ``s`` with ``s``'s label set, or None."""
+    own = M.label_sets[s]
+    return next((t for t, ls in enumerate(M.label_sets) if ls == own and t != s), None)
+
+
 @dataclass(frozen=True, eq=False)
 class Ctmc:
     """Finite labeled continuous-time chain.
@@ -50,8 +56,8 @@ class Ctmc:
     ``E[i]`` is the exit rate (1/time) of state ``i``; the jump
     distribution is ``P[i]``.  ``goal``/``fail`` are index tuples so
     that multi-goal input files survive a load/save round trip; the
-    analyses that need the normalized single-goal form obtain it via
-    :func:`normalize_goal`.  ``rate_exprs`` remembers textual
+    goal analyses read the single-goal normal form of
+    :func:`_normal_form`.  ``rate_exprs`` remembers textual
     ``"exp(x)"`` rate expressions from input files for re-emission.
     """
 
@@ -189,7 +195,8 @@ def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
     in ``err.all_violations``.  Row sums must be 1 within 1e-12, rates
     strictly positive, all probabilities in [0, 1], and no probability,
     rate or reward NaN or infinite; a singleton goal or fail state must be
-    absorbing and carry a label set no other state has.
+    absorbing by :func:`_absorbing_states` and carry a label set no other
+    state has.
     """
     if renormalize:
         sums = model.P.sum(axis=1)
@@ -208,29 +215,24 @@ def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
     for s in range(model.n):
         if abs(sums[s] - 1.0) > ROW_SUM_TOL:
             violations.append(RowSumError(s, float(sums[s])))
-    if np.any(model.P < 0.0) or np.any(model.P > 1.0 + 1e-15):
-        bad = np.argwhere((model.P < 0.0) | (model.P > 1.0 + 1e-15))[0]
-        violations.append(
-            CtmcError(f"probability P[{bad[0]},{bad[1]}]={model.P[bad[0], bad[1]]!r} outside [0,1]")
-        )
+    outside = (model.P < 0.0) | (model.P > 1.0 + 1e-15)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        violations.append(CtmcError(f"probability P[{i},{j}]={float(model.P[i, j])!r} outside [0,1]"))
     for s in range(model.n):
         if not model.E[s] > 0.0:
             violations.append(NonpositiveRate(s))
 
     for name, members in (("goal", model.goal), ("fail", model.fail)):
         if len(members) == 1:
-            g = members[0]
-            if abs(model.P[g, g] - 1.0) > ROW_SUM_TOL:
+            (g,) = members
+            if not _absorbing_states(model.P)[g]:
                 violations.append(NonAbsorbingGoal(f"{name} state {model.ids[g]!r} is not absorbing"))
-            lg = model.label_sets[g]
-            for s in range(model.n):
-                if s != g and model.label_sets[s] == lg:
-                    violations.append(
-                        NonAbsorbingGoal(
-                            f"{name} state {model.ids[g]!r} shares its label set with {model.ids[s]!r}"
-                        )
-                    )
-                    break
+            twin = _label_twin(model, g)
+            if twin is not None:
+                violations.append(
+                    NonAbsorbingGoal(f"{name} state {model.ids[g]!r} shares its label set with {model.ids[twin]!r}")
+                )
 
     if violations:
         err = violations[0]
@@ -316,36 +318,28 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
         raise ValueError("the initial state may not be a goal state")
 
     can_reach = graph.reach(M.pred, G)
-    dead = [s for s in range(M.n) if s not in G and s not in can_reach]
+    dead = [s for s in range(M.n) if s not in can_reach]
+    lone = next(iter(G)) if len(G) == 1 else None
+    single_goal = lone is not None and _label_twin(M, lone) is None
+    if (
+        single_goal
+        and not dead
+        and M.goal == (lone,) == (M.n - 1,)
+        and M.initial == 0
+        and _absorbing_states(M.P)[lone]
+    ):
+        return M
 
-    # Fast path: already normalized.
-    if len(G) == 1 and not dead:
-        (g,) = G
-        lg = M.label_sets[g]
-        unique = all(M.label_sets[s] != lg for s in range(M.n) if s != g)
-        if (
-            abs(M.P[g, g] - 1.0) <= ROW_SUM_TOL
-            and unique
-            and g == M.n - 1
-            and M.initial == 0
-            and M.goal == (g,)
-        ):
-            return M
-
-    transient = [s for s in range(M.n) if s not in G and s not in dead]
+    transient = sorted(can_reach - G)
     if M.initial in transient:
         transient.remove(M.initial)
         transient.insert(0, M.initial)
 
     used_atoms = {a for s in transient for a in M.labels[s]}
     used_ids = {M.ids[s] for s in transient}
-    single_goal = len(G) == 1 and all(
-        M.label_sets[next(iter(G))] != M.label_sets[s] for s in transient + dead
-    )
     if single_goal:
-        (g0,) = G
-        goal_label = M.labels[g0]
-        goal_id = _fresh_id(M.ids[g0], used_ids)
+        goal_label = M.labels[lone]
+        goal_id = _fresh_id(M.ids[lone], used_ids)
     else:
         goal_label = (_fresh_atom("goal", used_atoms),)
         goal_id = _fresh_id("goal", used_ids)
@@ -463,6 +457,8 @@ def _expect(value, kind: type | tuple[type, ...], where: str):
 
 
 def _number(value, where: str) -> float:
+    if isinstance(value, bool):  # JSON true and false are not numbers
+        raise ValueError(f"{where} must be int or float, got {value!r}")
     try:
         return float(_expect(value, (int, float), where))
     except OverflowError:
@@ -550,8 +546,9 @@ def dumps_model(M: Ctmc) -> str:
 def load_model(path: str) -> Ctmc:
     """Read a chain file, checking row sums, probabilities and rates.
 
-    Goal and fail states are not checked here: :func:`normalize_goal`
-    repairs a goal that is not absorbing or not uniquely labeled.
+    Goal and fail states are not checked here: the normal form that the
+    goal analyses read (:func:`_normal_form`) repairs a goal that is not
+    absorbing or not uniquely labeled.
     """
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))

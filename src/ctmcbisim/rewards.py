@@ -18,7 +18,7 @@ import numpy as np
 from . import graph
 from .erlang import uniformization_bound
 from .errors import AbsorbingState, NonzeroReward, ZeroReward, ZeroRewardCycle
-from .model import ABSORBING_EPS, Ctmc, restrict
+from .model import Ctmc, _absorbing_states, restrict
 from .transient import timed_reach
 
 
@@ -48,10 +48,9 @@ def remove_zero_reward_self_loop(M: Ctmc, s: int | str) -> Ctmc:
     idx = M.index(s)
     if rewards[idx] != 0.0:
         raise NonzeroReward(f"state {M.ids[idx]} has reward {rewards[idx]}")
-    loop = float(M.P[idx, idx])
-    if loop == 0.0:
+    if M.P[idx, idx] == 0.0:
         return M
-    if loop >= 1.0 - ABSORBING_EPS:
+    if _absorbing_states(M.P)[idx]:
         raise AbsorbingState(f"state {M.ids[idx]} cannot leave its self-loop")
     P, E = M.P.copy(), M.E.copy()
     _drop_self_loop(P, E, idx)
@@ -86,10 +85,9 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
     P = M.P.copy()
     E = M.E.copy()
     for z in zs:
-        loop = float(P[z, z])
-        if loop >= 1.0 - ABSORBING_EPS:
+        if _absorbing_states(P)[z]:
             raise AbsorbingState(f"state {M.ids[z]} is absorbing with zero reward")
-        if loop > 0.0:
+        if P[z, z] > 0.0:
             _drop_self_loop(P, E, z)
         col = P[:, z].copy()
         col[z] = 0.0

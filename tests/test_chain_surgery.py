@@ -9,10 +9,20 @@ every ``Ctmc`` field by hand).  On hypothesis-drawn chains with multi-goal
 sets, dead states, initial states that cannot reach the goal and
 zero-reward states with self-loops, the library must return the same
 chain or raise the same error.
+
+``validate`` is kept the same way and must raise the same error with the
+same further violations.  One family puts the goal's self-loop at the
+absorbing threshold, where the oracles test a goal with
+``abs(P[g, g] - 1) <= ROW_SUM_TOL`` and the library with the sampler's
+rule ``P[g, g] >= 1 - ABSORBING_EPS``; the two agree on every self-loop
+up to 1 + 1e-12.  Above it, and for a NaN self-loop, ``validate`` differs
+by one "not absorbing" violation, always after the first one.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -20,7 +30,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctmcbisim import Ctmc, graph, model, rewards
-from ctmcbisim.errors import AbsorbingState, EmptyGoalSet, NonzeroReward, ZeroReward, ZeroRewardCycle
+from ctmcbisim.errors import (
+    AbsorbingState,
+    CtmcError,
+    EmptyGoalSet,
+    NonAbsorbingGoal,
+    NonFiniteValue,
+    NonpositiveRate,
+    NonzeroReward,
+    RowSumError,
+    ZeroReward,
+    ZeroRewardCycle,
+)
 from ctmcbisim.model import ABSORBING_EPS, ROW_SUM_TOL, _fresh_atom, _fresh_id
 from ctmcbisim.rewards import _require_rewards
 
@@ -146,6 +167,65 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
         fail=(fail_idx,) if fail_idx is not None else (),
         rewards=rewards,
     )
+
+
+def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
+    """Check the chain invariants and return the (possibly renormalized) chain.
+
+    Raises the first violation found, with all further violations listed
+    in ``err.all_violations``.  Row sums must be 1 within 1e-12, rates
+    strictly positive, all probabilities in [0, 1], and no probability,
+    rate or reward NaN or infinite; a singleton goal or fail state must be
+    absorbing and carry a label set no other state has.
+    """
+    if renormalize:
+        sums = model.P.sum(axis=1)
+        if np.any(sums <= 0):
+            raise RowSumError(int(np.argmax(sums <= 0)), float(sums.min()))
+        model = replace(model, P=model.P / sums[:, None])
+
+    violations: list[CtmcError] = []
+    for name in ("P", "E", "rewards"):
+        a = getattr(model, name)
+        if a is not None and not np.isfinite(a).all():
+            at = tuple(np.argwhere(~np.isfinite(a))[0])
+            where = ",".join(map(str, at))
+            violations.append(NonFiniteValue(f"{name}[{where}]={float(a[at])!r} is not finite"))
+    sums = model.P.sum(axis=1)
+    for s in range(model.n):
+        if abs(sums[s] - 1.0) > ROW_SUM_TOL:
+            violations.append(RowSumError(s, float(sums[s])))
+    if np.any(model.P < 0.0) or np.any(model.P > 1.0 + 1e-15):
+        bad = np.argwhere((model.P < 0.0) | (model.P > 1.0 + 1e-15))[0]
+        violations.append(
+            CtmcError(f"probability P[{bad[0]},{bad[1]}]={model.P[bad[0], bad[1]]!r} outside [0,1]")
+        )
+    for s in range(model.n):
+        if not model.E[s] > 0.0:
+            violations.append(NonpositiveRate(s))
+
+    for name, members in (("goal", model.goal), ("fail", model.fail)):
+        if len(members) == 1:
+            g = members[0]
+            if abs(model.P[g, g] - 1.0) > ROW_SUM_TOL:
+                violations.append(NonAbsorbingGoal(f"{name} state {model.ids[g]!r} is not absorbing"))
+            lg = model.label_sets[g]
+            for s in range(model.n):
+                if s != g and model.label_sets[s] == lg:
+                    violations.append(
+                        NonAbsorbingGoal(
+                            f"{name} state {model.ids[g]!r} shares its label set with {model.ids[s]!r}"
+                        )
+                    )
+                    break
+
+    if violations:
+        err = violations[0]
+        err.all_violations = violations  # type: ignore[attr-defined]
+        if len(violations) > 1:
+            err.args = (f"{err.args[0] if err.args else err}; plus {len(violations) - 1} more violation(s)",)
+        raise err
+    return model
 
 
 def prune_unreachable(M: Ctmc) -> Ctmc:
@@ -362,7 +442,71 @@ def _wide_chain(rng: np.random.Generator) -> Ctmc:
     )
 
 
+#: goal self-loops at the absorbing threshold: 1, the double below it, the
+#: double that 1 - 1e-12 rounds to, the double below that, and 1 - 1e-9
+EDGE_LOOPS = (1.0, np.nextafter(1.0, 0.0), 0.999999999999, np.nextafter(0.999999999999, 0.0), 1.0 - 1e-9)
+
+
+def _twin(rng: np.random.Generator, labels: list, s: int, side: str) -> None:
+    """Give a state before or after ``s`` (``side``) the label set of ``s``."""
+    pool = range(s) if side == "before" else range(s + 1, len(labels))
+    if side != "none" and pool:
+        labels[int(rng.choice(pool))] = labels[s]
+
+
+def _edge_goal_chain(rng: np.random.Generator) -> Ctmc:
+    """One goal state whose self-loop is drawn from ``EDGE_LOOPS``, leaking
+    the rest to another state.  The goal is last or not, the initial
+    state first or not, the goal and a singleton fail state have a label
+    twin before them, after them or none, and dead states (absorbing
+    non-goal states), zero rewards and rate expressions come and go, so
+    that each condition of ``normalize_goal``'s fast path holds in some
+    chains and fails in others."""
+    n = int(rng.integers(3, 8))
+    g = n - 1 if rng.random() < 0.5 else int(rng.integers(n))
+    others = [s for s in range(n) if s != g]
+    initial = 0 if g != 0 and rng.random() < 0.5 else int(rng.choice(others))
+    dead = [s for s in others if s != initial and rng.random() < 0.2]
+    P = np.zeros((n, n))
+    for s in others:
+        if s in dead:
+            P[s, s] = 1.0
+            continue
+        w = rng.integers(0, 3, size=n) * (rng.random(n) < 0.5)
+        w[g] += 1  # every live state reaches the goal
+        P[s] = w / w.sum()
+    loop = EDGE_LOOPS[int(rng.integers(len(EDGE_LOOPS)))]
+    P[g, g] = loop
+    P[g, int(rng.choice(others))] = 1.0 - loop
+    labels = [(("a",), ("b",), ())[int(k)] for k in rng.integers(0, 3, size=n)]
+    labels[g] = ("goal",)
+    _twin(rng, labels, g, rng.choice(("none", "none", "before", "after")))
+    fail = ()
+    if rng.random() < 0.5:
+        f = int(rng.choice(dead or others))
+        fail = (f,)
+        labels[f] = ("fail",)
+        _twin(rng, labels, f, rng.choice(("none", "before", "after")))
+    rewards = rng.choice((0.0, 0.5, 1.0), size=n) if rng.random() < 0.7 else None
+    exprs = None
+    if rng.random() < 0.3:
+        exprs = tuple("exp(0)" if rng.random() < 0.5 else None for _ in range(n))
+    pool = [f"s{i}" for i in range(n)] + list(_IDS)
+    return Ctmc(
+        ids=tuple(rng.permutation(pool)[:n].tolist()),
+        labels=tuple(labels),
+        P=P,
+        E=rng.choice((0.5, 1.0, 2.0), size=n),
+        initial=initial,
+        goal=(g,),
+        fail=fail,
+        rewards=rewards,
+        rate_exprs=exprs,
+    )
+
+
 FAMILIES = {
+    "edge": _edge_goal_chain,
     "surgery": _surgery_chain,
     "wide": _wide_chain,
     "uniform": random_uniform_chain,
@@ -395,6 +539,15 @@ def _assert_same(new, old):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
     for name in ("ids", "labels", "initial", "goal", "fail", "rate_exprs"):
         assert getattr(new, name) == getattr(old, name), name
+
+
+def _violations(err: Exception) -> list[tuple[type, str]]:
+    """Type and message of each violation; the oracle ``validate`` prints
+    an entry outside [0, 1] as ``np.float64(x)``, the library as ``x``."""
+    return [
+        (type(v), re.sub(r"np\.float64\((.*?)\)", r"\1", str(v)))
+        for v in getattr(err, "all_violations", [err])
+    ]
 
 
 def _then(fn, first):
@@ -446,6 +599,84 @@ def test_reward_transformations_match_oracle(family, seed):
     _assert_same(new, old)
     _assert_same(_then(rewards.hat_transform, new), _then(hat_transform, old))
     _assert_same(_run(rewards.hat_transform, M), _run(hat_transform, M))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=families, seed=seeds)
+def test_normalize_goal_keeps_its_input_when_the_oracle_does(family, seed):
+    M = FAMILIES[family](np.random.default_rng(seed))
+    first = _run(normalize_goal, M)
+    for N in (M, first):  # the oracle's output is in normal form
+        if not isinstance(N, Exception):
+            new, old = _run(model.normalize_goal, N), _run(normalize_goal, N)
+            assert (new is N) == (old is N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=families, seed=seeds, renormalize=st.booleans())
+def test_validate_matches_oracle(family, seed, renormalize):
+    M = FAMILIES[family](np.random.default_rng(seed))
+    new, old = _run(model.validate, M, renormalize), _run(validate, M, renormalize)
+    _assert_same(new, old)
+    if isinstance(old, Exception):
+        assert _violations(new) == _violations(old)
+
+
+#: goal self-loops where the two absorbing tests part: the double that
+#: 1 + 1e-12 rounds to and larger values, and NaN
+ABOVE_EDGE = (1.0 + 1e-12, np.nextafter(1.0 + 1e-12, 2.0), 1.0 + 1e-9, 1.5, np.inf, np.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, loop=st.sampled_from(ABOVE_EDGE), on_fail=st.booleans())
+def test_validate_differs_from_oracle_only_above_the_edge(seed, loop, on_fail):
+    M = _edge_goal_chain(np.random.default_rng(seed))
+    name, s = ("fail", M.fail[0]) if on_fail and M.fail else ("goal", M.goal[0])
+    P = M.P.copy()
+    P[s, s] = loop
+    M = replace(M, P=P)
+    new, old = _run(model.validate, M), _run(validate, M)
+    assert isinstance(new, CtmcError) and isinstance(old, CtmcError)
+    extra = (NonAbsorbingGoal, f"{name} state {M.ids[s]!r} is not absorbing")
+    # the oracle calls a self-loop above 1 + 1e-12 not absorbing, the library a NaN one
+    more, fewer = (new, old) if np.isnan(loop) else (old, new)
+    assert extra in _violations(more)[1:] and extra not in _violations(fewer)
+    assert [v for v in _violations(more)[1:] if v != extra] == _violations(fewer)[1:]
+    # the first violation is the same; only its count of further ones differs
+    assert type(new) is type(old)
+    assert str(new).split("; plus")[0] == str(old).split("; plus")[0]
+
+
+def test_edge_family_reaches_every_case():
+    """Each absorbing edge self-loop meets both sides of the normal form's
+    fast path, and each edge self-loop the absorbing test of reward
+    elimination on a zero-reward goal."""
+    seen = set()
+    for seed in range(400):
+        M = _edge_goal_chain(np.random.default_rng(seed))
+        g = M.goal[0]
+        loop = float(M.P[g, g])
+        N = normalize_goal(M)
+        seen.add((loop, "kept" if N is M else "rebuilt"))
+        seen |= {("initial first", M.initial == 0), ("goal last", g == M.n - 1)}
+        seen |= {("dead states", bool(N.fail)), ("rate expressions", M.rate_exprs is not None)}
+        if M.rewards is not None and M.rewards[g] == 0.0:
+            absorbing = isinstance(_run(remove_zero_reward_self_loop, M, g), AbsorbingState)
+            seen.add((loop, "absorbing" if absorbing else "leaves its loop"))
+        twins = [s for s in range(M.n) if s != g and M.labels[s] == M.labels[g]]
+        seen.add(("goal twin", "before" if twins and twins[0] < g else "after" if twins else "none"))
+        if M.fail:
+            f = M.fail[0]
+            twins = [s for s in range(M.n) if s != f and M.labels[s] == M.labels[f]]
+            seen.add(("fail twin", "before" if twins and twins[0] < f else "after" if twins else "none"))
+    # the first three self-loops are absorbing, the last two are not
+    absorbing, leaking = [float(v) for v in EDGE_LOOPS[:3]], [float(v) for v in EDGE_LOOPS[3:]]
+    expected = {(v, side) for v in absorbing for side in ("kept", "rebuilt", "absorbing")}
+    expected |= {(v, side) for v in leaking for side in ("rebuilt", "leaves its loop")}
+    expected |= {(who, side) for who in ("goal twin", "fail twin") for side in ("before", "after", "none")}
+    expected |= {(what, b) for what in ("initial first", "goal last", "dead states", "rate expressions")
+                 for b in (False, True)}
+    assert seen == expected
 
 
 def test_families_reach_every_case():

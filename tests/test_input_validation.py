@@ -121,6 +121,8 @@ MALFORMED = {
     "initial is a list": (_set("initial", ["a"]), "initial must be str"),
     "transition entry is a list": (_set("transitions", [["s0", "g", 1.0]]), "transitions: each entry"),
     "exit rate overflows": (_set("exit_rate", "exp(1000)", state=1), "states[1].exit_rate 'exp(1000)'"),
+    "exit rate is true": (_set("exit_rate", True, state=0), "states[0].exit_rate must be int or float, got True"),
+    "reward is false": (_set("reward", False, state=1), "states[1].reward must be int or float, got False"),
 }
 
 
@@ -359,6 +361,8 @@ def test_cli_fuzz_of_the_other_subcommands_keeps_the_exit_code_contract(doc, val
     ({"pairs": 5}, "pairs must be list"),
     ({"pairs": [], "eps": None}, "eps must be int or float"),
     ({"pairs": [], "delta": [1]}, "delta must be int or float"),
+    ({"pairs": [], "eps": True, "delta": False}, "eps must be int or float, got True"),
+    ({"pairs": [], "delta": False}, "delta must be int or float, got False"),
 ])
 def test_cli_rejects_malformed_relation_file(capsys, tmp_path, relation, message):
     model = _write(tmp_path / "m.json", _document())
@@ -401,3 +405,17 @@ def test_cli_rejects_a_bad_relation_tolerance(capsys, tmp_path, eps, delta, fiel
     rc, out, err = _run(capsys, ["check-bisim", "-m", model, "--eps", str(eps), "--delta", str(delta)])
     assert (rc, out) == (2, "")
     assert f"argument --{field}: must be a finite number >= 0" in err
+
+
+# ------------------------------------------------------------ probabilities outside [0, 1]
+
+
+def test_cli_prints_a_probability_outside_the_unit_interval_as_a_float(capsys, tmp_path):
+    doc = _document()
+    doc["transitions"][:2] = [
+        {"from": "s0", "to": "s0", "prob": -0.5},
+        {"from": "s0", "to": "g", "prob": 1.5},
+    ]
+    rc, out, err = _run(capsys, ["spectral-report", "-m", _write(tmp_path / "m.json", doc)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("CtmcError: probability P[0,0]=-0.5 outside [0,1]")

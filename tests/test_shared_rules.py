@@ -6,10 +6,15 @@
 - No Erlang series runs past ``MAX_TERMS`` terms.
 - ``simulate_paths`` treats a state as absorbing by the rule
   ``P[s, s] >= 1 - ABSORBING_EPS`` that ``spectral`` and ``rewards`` use.
+- That rule is written once, in ``model``: no other module names
+  ``ABSORBING_EPS``, and no module tests a diagonal entry against the
+  row-sum tolerance ``ROW_SUM_TOL``.
 """
 
 from __future__ import annotations
 
+import ast
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -121,3 +126,34 @@ def test_simulation_stops_in_nearly_absorbing_states(seed, leak):
     )
     res = simulate_paths(M, 400, 2e5, seed)
     assert 0.35 < res.estimate < 0.65
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ctmcbisim"
+
+
+def test_only_model_names_the_absorbing_eps():
+    naming = sorted(p.name for p in SRC.glob("*.py") if "ABSORBING_EPS" in p.read_text(encoding="utf-8"))
+    assert naming == ["model.py"]
+
+
+def _diagonal_entry(node: ast.AST) -> bool:
+    """``X[i, i]``, or a call of ``diag`` or ``diagonal``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) and len(node.slice.elts) == 2:
+        i, j = node.slice.elts
+        return ast.dump(i) == ast.dump(j)
+    if isinstance(node, ast.Call):
+        f = node.func
+        return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in ("diag", "diagonal")
+    return False
+
+
+def test_no_diagonal_entry_is_tested_against_the_row_sum_tolerance():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            inside = list(ast.walk(node))
+            if any(isinstance(n, ast.Name) and n.id == "ROW_SUM_TOL" for n in inside):
+                found += [f"{path.name}:{node.lineno}" for n in inside if _diagonal_entry(n)]
+    assert found == []
