@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -61,61 +62,77 @@ def _check_tolerances(eps: float, delta: float) -> None:
             raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
+def _pair_matrix(pairs: Iterable[tuple[int, int]], n: int) -> np.ndarray:
+    """The n x n boolean matrix holding ``pairs``.  ValueError naming a pair with an entry not an int or a
+    numpy integer (a ``bool`` is neither), else the smallest pair out of ``range(n)``, smaller entry first."""
+    a = np.array(list(pairs), dtype=object)
+    a = a.reshape(len(a), 2)
+    if odd := {k for k in set(map(type, a.flat)) if k is bool or not issubclass(k, (int, np.integer))}:
+        bad = next(p for p in a.tolist() if odd.intersection(map(type, p)))
+        raise ValueError(f"pair {tuple(bad)} has an entry that is not an integer")
+    out = ((a < 0) | (a >= n)).any(axis=1)
+    if out.any():
+        s, t = min(sorted(p) for p in a[out].tolist())
+        raise ValueError(f"pair ({s},{t}) out of range")
+    m = np.zeros((n, n), dtype=bool)
+    m[tuple(a.astype(np.intp).T)] = True
+    return m
+
+
 class PairRelation:
-    """Reflexive symmetric relation on state indices with its tolerances."""
+    """Reflexive symmetric relation with its tolerances, held as its read-only n x n boolean ``matrix``."""
 
-    n: int
-    pairs: frozenset[tuple[int, int]]
-    eps: float
-    delta: float
-
-    def __post_init__(self):
-        _check_tolerances(self.eps, self.delta)
-        for s in range(self.n):
-            if (s, s) not in self.pairs:
-                raise ValueError(f"relation is not reflexive: missing ({s},{s})")
-        for s, t in self.pairs:
-            if (t, s) not in self.pairs:
-                raise ValueError(f"relation is not symmetric: ({s},{t}) without ({t},{s})")
-            if not (0 <= s < self.n and 0 <= t < self.n):
-                raise ValueError(f"pair ({s},{t}) out of range")
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]], eps: float, delta: float):
+        _check_tolerances(eps, delta)
+        self.__dict__.update(vars(PairRelation._of(_pair_matrix(pairs, n), eps, delta)))
 
     @classmethod
-    def from_off_diagonal(
-        cls, pairs: Iterable[tuple[int, int]], n: int, eps: float, delta: float
-    ) -> "PairRelation":
+    def _of(cls, m: np.ndarray, eps: float, delta: float) -> "PairRelation":
+        """The relation whose matrix is ``m``, taken over: the one check every route to a relation ends in."""
+        _check_tolerances(eps, delta)
+        if not m.diagonal().all():
+            s = int(np.argmin(m.diagonal()))
+            raise ValueError(f"relation is not reflexive: missing ({s},{s})")
+        if not (m == m.T).all():
+            s, t = np.argwhere(m > m.T)[0].tolist()
+            raise ValueError(f"relation is not symmetric: ({s},{t}) without ({t},{s})")
+        m.flags.writeable = False
+        R = object.__new__(cls)
+        R.__dict__.update(n=len(m), matrix=m, eps=eps, delta=delta)
+        return R
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, PairRelation) and (self.eps, self.delta) == (other.eps, other.delta)
+        return same and np.array_equal(self.matrix, other.matrix)
+
+    @classmethod
+    def from_off_diagonal(cls, pairs: Iterable[tuple[int, int]], n: int, eps: float, delta: float) -> "PairRelation":
         """The reflexive symmetric closure of ``pairs`` on ``n`` states."""
-        closed = {(s, s) for s in range(n)}
-        for s, t in pairs:
-            closed.add((s, t))
-            closed.add((t, s))
-        return cls(n=n, pairs=frozenset(closed), eps=eps, delta=delta)
+        _check_tolerances(eps, delta)
+        m = _pair_matrix(pairs, n)
+        return cls._of(m | m.T | np.eye(n, dtype=bool), eps, delta)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
+        s, t = map(operator.index, pair)
+        return 0 <= s < self.n and 0 <= t < self.n and bool(self.matrix[s, t])
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, np.argwhere(self.matrix).tolist()))
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         """``adjacency[s]`` is the set of states related to ``s``."""
-        related: list[set[int]] = [set() for _ in range(self.n)]
-        for s, t in self.pairs:
-            related[s].add(t)
-        return tuple(frozenset(r) for r in related)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Read-only boolean matrix: ``matrix[s, t]`` holds when ``(s, t)`` is related."""
-        related = np.zeros((self.n, self.n), dtype=bool)
-        related[tuple(zip(*self.pairs))] = True
-        related.flags.writeable = False
-        return related
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.matrix)
 
     def related_to(self, s: int) -> frozenset[int]:
         return self.adjacency[s]
 
     def off_diagonal(self) -> list[tuple[int, int]]:
-        return sorted((s, t) for (s, t) in self.pairs if s < t)
+        return list(map(tuple, np.argwhere(np.triu(self.matrix, 1)).tolist()))
 
     @cached_property
     def _label(self) -> np.ndarray:
@@ -127,7 +144,7 @@ class PairRelation:
         return int(self.matrix.sum()) == int((np.bincount(self._label) ** 2).sum())
 
     def transitive_closure(self) -> "PairRelation":
-        return _partition(self._label).as_relation(self.eps, self.delta)
+        return PairRelation._of(self._label[:, None] == self._label, self.eps, self.delta)
 
     def classes(self) -> "Partition":
         """Equivalence classes; the relation must be transitive."""
@@ -162,8 +179,7 @@ class Partition:
         return int(self._label[int(s)])
 
     def as_relation(self, eps: float = 0.0, delta: float = 0.0) -> PairRelation:
-        pairs = frozenset((s, t) for b in self.blocks for s in b for t in b)
-        return PairRelation(n=self.n, pairs=pairs, eps=eps, delta=delta)
+        return PairRelation._of(self._label[:, None] == self._label, eps, delta)
 
 
 def _partition(label: np.ndarray) -> Partition:
@@ -172,13 +188,12 @@ def _partition(label: np.ndarray) -> Partition:
 
 
 def compose(R1: PairRelation, R2: PairRelation) -> PairRelation:
-    """Relational composition with summed tolerances (then made
-    reflexive-symmetric), the witness behind additivity of (eps, delta)."""
+    """Relational composition with summed tolerances (then made symmetric), the witness behind
+    additivity of (eps, delta): a boolean product, summed in float32 so no count wraps."""
     if R1.n != R2.n:
         raise ValueError("relations live on different state counts")
-    adj1, adj2 = R1.adjacency, R2.adjacency
-    pairs = {(s, u) for s in range(R1.n) for u in set().union(*(adj2[t] for t in adj1[s]))}
-    return PairRelation.from_off_diagonal(pairs, R1.n, R1.eps + R2.eps, R1.delta + R2.delta)
+    m = R1.matrix.astype(np.float32) @ R2.matrix.astype(np.float32) > 0
+    return PairRelation._of(m | m.T, R1.eps + R2.eps, R1.delta + R2.delta)
 
 
 # --------------------------------------------------------------------------
@@ -543,7 +558,7 @@ def epsilon_delta_bisim(M: Ctmc, eps: float, delta: float, eta: float = FLOW_ETA
     related = _initial_related(M, delta)
     for _ in _sweeps(M, related, eps, eta):
         pass
-    return PairRelation(n=M.n, pairs=frozenset(map(tuple, np.argwhere(related).tolist())), eps=eps, delta=delta)
+    return PairRelation._of(related, eps, delta)
 
 
 @dataclass(frozen=True)
@@ -678,7 +693,7 @@ def split_construction(M: Ctmc, N: Ctmc, eps: float, delta: float) -> SplitResul
     joint = direct_sum(M, N)
     R = epsilon_delta_bisim(joint, eps, delta)
     off = M.n
-    if (M.initial, N.initial + off) not in R.pairs:
+    if (M.initial, N.initial + off) not in R:
         raise NotBisimilar(f"initial states are not ({eps},{delta})-related")
 
     nM, nN = M.n, N.n
@@ -705,34 +720,29 @@ def split_construction(M: Ctmc, N: Ctmc, eps: float, delta: float) -> SplitResul
     m_prime = Ctmc(ids=ids, labels=labels, P=P, E=E_m, initial=initial, goal=goal, fail=fail)
     n_prime = Ctmc(ids=ids, labels=labels, P=P.copy(), E=np.tile(N.E, nM), initial=initial, goal=goal, fail=fail)
 
-    sum1 = direct_sum(M, m_prime)
-    r1 = PairRelation.from_off_diagonal(
-        {(s, nM + pid(s, t)) for s, t in np.argwhere(related).tolist()},
-        n=nM + n_prod,
-        eps=eps,
-        delta=0.0,
-    )
-    sum2 = direct_sum(m_prime, n_prime)
-    r2 = PairRelation.from_off_diagonal(
-        {(p, n_prod + p) for p in range(n_prod)}, n=2 * n_prod, eps=0.0, delta=delta
-    )
-    sum3 = direct_sum(n_prime, N)
-    r3 = PairRelation.from_off_diagonal(
-        {(pid(s, t), n_prod + t) for s in range(nM) for t in range(nN)},
-        n=n_prod + nN,
-        eps=0.0,
-        delta=0.0,
-    )
+    # each witness relation joins state a of the first chain of its direct sum to
+    # state b of the second where link[a, b]: s to pid(s, t) for related s and t,
+    # then p to p, then pid(s, t) to t
+    r1 = _joined((np.eye(nM, dtype=bool)[:, :, None] & related[:, None]).reshape(nM, n_prod), eps, 0.0)
+    r2 = _joined(np.eye(n_prod, dtype=bool), 0.0, delta)
+    r3 = _joined(np.tile(np.eye(nN, dtype=bool), (nM, 1)), 0.0, 0.0)
     return SplitResult(
         m_prime=m_prime,
         n_prime=n_prime,
         relation=R,
         witnesses=(
-            SplitWitness("probability-step", sum1, r1),
-            SplitWitness("rate-step", sum2, r2),
-            SplitWitness("projection", sum3, r3),
+            SplitWitness("probability-step", direct_sum(M, m_prime), r1),
+            SplitWitness("rate-step", direct_sum(m_prime, n_prime), r2),
+            SplitWitness("projection", direct_sum(n_prime, N), r3),
         ),
     )
+
+
+def _joined(link: np.ndarray, eps: float, delta: float) -> PairRelation:
+    """The relation on a direct sum joining state ``a`` of its first chain to
+    state ``b`` of its second wherever ``link[a, b]``."""
+    a, b = link.shape
+    return PairRelation._of(np.block([[np.eye(a, dtype=bool), link], [link.T, np.eye(b, dtype=bool)]]), eps, delta)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import errors as err
-from .bisim import epsilon_delta_bisim, is_bisimulation, load_relation, relation_to_dict
+from .bisim import PairRelation, epsilon_delta_bisim, is_bisimulation, load_relation, relation_to_dict
 from .curves import BoundCurve, time_grid
 from .erlang import (
     erlang_N_bound,
@@ -89,7 +89,8 @@ def cmd_check_bisim(args) -> int:
         **relation_to_dict(R, chain),
     }
     if args.explain and not related:
-        chk = is_bisimulation(chain, dataclasses.replace(R, pairs=R.pairs | {init_pair, init_pair[::-1]}))
+        widened = PairRelation.from_off_diagonal([*R.off_diagonal(), init_pair], R.n, R.eps, R.delta)
+        chk = is_bisimulation(chain, widened)
         report["explain"] = {
             "pair": [chain.ids[chk.pair[0]], chain.ids[chk.pair[1]]] if chk.pair else None,
             "condition": chk.condition,
@@ -187,7 +188,7 @@ def cmd_pair_uniformize(args) -> int:
     B = load_model(args.model_b)
     joint = direct_sum(A, B)
     if args.relation is not None:
-        R = dataclasses.replace(load_relation(args.relation, joint), eps=0.0, delta=args.delta)
+        R = load_relation(args.relation, joint)
     else:
         R = epsilon_delta_bisim(joint, 0.0, args.delta)
     with warnings.catch_warnings(record=True) as caught:

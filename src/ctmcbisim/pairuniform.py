@@ -73,7 +73,7 @@ def uniformize_pair(M: Ctmc, N: Ctmc, R: PairRelation, delta: float) -> PairUnif
         raise NotTransitive("class-wise rate surgery needs a transitive relation")
 
     D = direct_sum(M, N)
-    R0 = replace(R, eps=0.0, delta=delta)
+    R0 = R.classes().as_relation(0.0, delta)
     check = is_bisimulation(D, R0)
     if not check:
         raise NotZeroDeltaBisim(

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bisim import PairRelation, split_construction
+from .bisim import _joined, split_construction
 from .erlang import _uniform_rate, erlang_N_bound, gap_curve, rate_factor, uniformization_bound
 from .errors import (
     AcyclicChain,
@@ -547,9 +547,7 @@ def triangle_bound_eps_delta(M: Ctmc, N: Ctmc, eps: float, delta: float, t_grid)
     m_norm, n_norm = _normal_form(m_mid), _normal_form(n_mid)
     if m_norm.ids != n_norm.ids:
         raise RuntimeError("product chains diverged during normalization")
-    identity = PairRelation.from_off_diagonal(
-        [(i, m_norm.n + i) for i in range(m_norm.n)], 2 * m_norm.n, 0.0, delta
-    )
+    identity = _joined(np.eye(m_norm.n, dtype=bool), 0.0, delta)
     pair = uniformize_pair(m_norm, n_norm, identity, delta)
     core = combined_bound(pair.m_uniform, delta, t_grid)
     unif = np.array([uniformization_bound(eps, 0.0, q_eps, float(t)) for t in t_grid])
