@@ -37,7 +37,7 @@ from .spectral import (
     spectral_curve,
     spectral_report,
 )
-from .transient import hit_exact_steps, simulate_paths
+from .transient import _check_tol, hit_exact_steps, simulate_paths
 
 _NUMERICAL_ERRORS = (err.NumericalFailure, np.linalg.LinAlgError)
 
@@ -160,11 +160,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_pareto(args) -> int:
     region = pareto_region(args.theta, args.q, args.t)
-    points = region.frontier(args.samples) if args.theta > 0.0 else [(0.0, 0.0)]
-    rows = []
-    for eps, delta in points:
-        bound = uniformization_bound(eps, delta, args.q, args.t)
-        rows.append((eps, delta, bound, bound <= args.theta + 1e-12))
+    # a budget of 1 admits the origin alone
+    points = region.frontier(args.samples) if region.budget > 1.0 else [(0.0, 0.0)]
+    rows = [(eps, delta, uniformization_bound(eps, delta, args.q, args.t), region.contains(eps, delta))
+            for eps, delta in points]
     _table(("eps", "delta", "bound", "within"), rows, args)
     return 0 if all(ok for *_, ok in rows) else 1
 
@@ -278,6 +277,16 @@ def _int_at_least(low: int):
     return _option(int, lambda x: x >= low, f"an integer >= {low}")
 
 
+def _tol(text: str) -> float:
+    """argparse type for ``--tol``: a float that ``transient._check_tol`` accepts."""
+    try:
+        tol = float(text)
+        _check_tol(tol)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}") from None
+    return tol
+
+
 _NONNEGATIVE = _at_least(0.0)
 _POSITIVE = _at_least(0.0, strict=True)
 _BUDGET = _option(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
@@ -295,9 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     def add_tol(sp):
-        sp.add_argument("--tol", type=_POSITIVE, default=1e-9,
-                        help="truncation tolerance (> 0); on bounds, pn and spectral-report"
-                        " also the largest decomposition residual accepted")
+        sp.add_argument("--tol", type=_tol, default=1e-9,
+                        help="truncation tolerance, a number in (0, 1); on bounds, pn and"
+                        " spectral-report also the largest decomposition residual accepted")
 
     sp = sub.add_parser("check-bisim", help="compute the relation and check the initial states")
     add_model(sp)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonUniformRates, NotApplicable, TruncationLimit
 from .model import Ctmc
-from .transient import MAX_TERMS, _lengths, _poisson_pmf, expected_hit_steps, hit_exact_steps
+from .transient import MAX_TERMS, _check_tol, _lengths, _poisson_pmf, expected_hit_steps, hit_exact_steps
 
 
 def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
@@ -144,8 +144,10 @@ class ParetoRegion:
         return max(0.0, math.log(ratio)) if ratio > 0.0 else 0.0
 
     def contains(self, eps: float, delta: float) -> bool:
-        """Admissible, with 1e-12 of slack on the budget."""
-        return rate_factor(delta) * (1.0 + eps) <= self.budget + 1e-12
+        """Admissible, with a relative slack of 1e-12 on the budget (which is
+        at least 1), so that every :meth:`frontier` point passes whatever
+        the size of the budget."""
+        return rate_factor(delta) * (1.0 + eps) <= self.budget * (1.0 + 1e-12)
 
     def frontier(self, samples: int) -> list[tuple[float, float]]:
         """(eps, delta) pairs along the boundary, delta sweeping 0..delta_max(0)."""
@@ -190,12 +192,11 @@ def _uniform_rate(M: Ctmc) -> float:
 
 def _curve_args(M: Ctmc, delta: float, tol: float) -> tuple[float, float]:
     """The uniform rate and ``e^delta`` of an Erlang-curve call, after
-    checking the single goal and a positive ``tol``."""
+    checking the single goal and ``tol``."""
     r = _uniform_rate(M)
     M.goal_state()
     c = rate_factor(delta)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     return r, c
 
 

@@ -555,5 +555,8 @@ def load_model(path: str) -> Ctmc:
 
 
 def save_model(M: Ctmc, path: str) -> None:
+    """Write the text of :func:`dumps_model`, streamed in chunks by ``json.dump``
+    rather than joined into one string first."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(M))
+        json.dump(model_to_dict(M), fh, indent=2)
+        fh.write("\n")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import graph
 from .bisim import PairRelation, is_bisimulation
 from .erlang import rate_factor
 from .errors import CtmcError, NotTransitive, NotZeroDeltaBisim, OrderingAssumptionViolated
@@ -80,10 +79,10 @@ def uniformize_pair(M: Ctmc, N: Ctmc, R: PairRelation, delta: float) -> PairUnif
             f"pair {check.pair} fails the {check.condition} condition: {check.detail}"
         )
 
-    # R0 is transitive, so its components are its classes.  Each class
-    # takes its smallest first-chain rate; a class living entirely in N
-    # keeps the smallest of its own rates, slowed down by e^delta.
-    label = graph.components(graph.csr(R0.matrix))
+    # R is transitive, so the components it labels are the classes of R0.
+    # Each class takes its smallest first-chain rate; a class living
+    # entirely in N keeps the smallest of its own rates, slowed down by e^delta.
+    label = R._label
     lowest = np.full((2, label.max() + 1), np.inf)
     np.minimum.at(lowest[0], label[:nm], M.E)
     np.minimum.at(lowest[1], label[nm:], N.E)

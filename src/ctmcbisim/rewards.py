@@ -99,7 +99,8 @@ def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:
     lost = [g for g in M.goal if g in zs]
     if lost:  # a zero-reward goal cannot be spliced away
         raise ZeroReward(lost[0])
-    keep = [s for s in range(M.n) if s not in set(zs)]
+    gone = set(zs)
+    keep = [s for s in range(M.n) if s not in gone]
     return restrict(replace(M, P=P, E=E, rewards=rewards, rate_exprs=None), keep)
 
 

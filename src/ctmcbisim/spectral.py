@@ -36,7 +36,7 @@ from .errors import (
 from . import graph
 from .model import Ctmc, _absorbing_states, _normal_form
 from .pairuniform import uniformize_pair
-from .transient import MAX_TERMS, _lengths, hit_exact_steps
+from .transient import MAX_TERMS, _check_tol, _lengths, hit_exact_steps
 
 #: eigenvalues closer than this are treated as one (defective) eigenvalue
 CLUSTER_TOL = 1e-7
@@ -184,6 +184,7 @@ def decompose(P: np.ndarray, tol: float = 1e-9) -> SpectralData:
     :class:`DecompositionUnstable` when no factorization reconstructs P
     within ``tol``.
     """
+    _check_tol(tol)
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     if P.shape != (n, n):
@@ -466,7 +467,9 @@ def jordan_bound(M: Ctmc, delta: float, t_grid, tol: float = 1e-9) -> np.ndarray
 
 
 def _spectral_from(c: float, Mn: Ctmc, rate: float, t_grid, tol: float) -> np.ndarray:
-    """:func:`spectral_curve` on the triple that ``_prepare`` returns."""
+    """:func:`spectral_curve` on the triple that ``_prepare`` returns; ``tol``
+    is checked on the acyclic route too, which never decomposes."""
+    _check_tol(tol)
     if is_embedded_acyclic(Mn):
         return _acyclic_values(Mn, rate, c, t_grid)
     sd = decompose(Mn.P, tol=tol)

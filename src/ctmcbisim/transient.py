@@ -42,6 +42,14 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """The one range of a truncation or reconstruction tolerance: (0, 1).
+    Every series and decomposition of the package reads it before its
+    first term, the ``--tol`` option of the CLI included."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be positive and below 1, got {name}={tol!r}")
+
+
 @dataclass(frozen=True)
 class TransientQuery:
     start: int | None = None
@@ -50,8 +58,7 @@ class TransientQuery:
 
     def __post_init__(self):
         _check_horizon(self.horizon)
-        if not (0.0 < self.truncation_error < 1.0):
-            raise ValueError("truncation_error must lie in (0, 1)")
+        _check_tol(self.truncation_error, "truncation_error")
 
 
 # ln k! for k = 0..len-1.  Growing replaces the whole array and never writes
@@ -93,6 +100,7 @@ def poisson_weights(mu: float, tol: float) -> np.ndarray:
     summed weights, so that no K reaches ``1 - tol``, and before
     allocating once K would pass ``MAX_TERMS``.
     """
+    _check_tol(tol)
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
     if mu == 0.0:
