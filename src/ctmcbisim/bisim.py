@@ -9,17 +9,28 @@ boundary instances where the optimum equals ``1 - eps`` exactly cannot
 flap; a tolerance ``eta`` absorbs only the rounding already present in
 the inputs.
 
-The greatest fixpoint first bounds every candidate pair in numpy.  Let Q
-be the connected components of the relation R at a sweep's start: an
-equivalence containing R, so a flow along R moves mass only within the
-classes of Q, and no flow exceeds ``sum_C min(P(s, C), P(t, C))`` (the
-class-wise lifting of Jonsson & Larsen, LICS 1991; the flow form of the
-check is Baier, Engelen & Majster-Cederbaum, JCSS 2000).  A pair whose
-bound is below the threshold fails its flow check in both orientations,
-and is dropped with no flow solved.  The float bound is used only when it
-clears the exact threshold by a margin that covers its rounding (see
-``_mass_cutoff``); the pairs near the threshold go to the exact flow, so
-every sweep drops the same pairs as without the bound.
+The greatest fixpoint decides most candidate pairs in numpy, against the
+relation R at a sweep's start, by four routes:
+
+1. class-mass reject.  Let Q be the connected components of R: an
+   equivalence containing R, so a flow along R moves mass only within the
+   classes of Q, and no flow exceeds ``sum_C min(P(s, C), P(t, C))`` (the
+   class-wise lifting of Jonsson & Larsen, LICS 1991; the flow form of the
+   check is Baier, Engelen & Majster-Cederbaum, JCSS 2000).  A pair whose
+   bound is below the threshold fails its flow check in both orientations.
+2. cut enumeration.  When both rows have at most ``ENUM_DEGREE``
+   successors, the flow's value is its least cut, found by trying every
+   subset of the successors of ``s`` (max-flow min-cut; Gale, Pacific J.
+   Math. 1957), so the pair passes or fails with no flow.
+3. diagonal pass.  R is reflexive, so shipping ``min(P(s, j), P(t, j))``
+   from j to j is a flow in both orientations (the maximal coupling;
+   Lindvall, 1992); a pair whose diagonal mass clears the threshold passes.
+4. the exact flow kernel, for the pairs that the first three leave.
+
+A float value is used only when it clears the exact threshold by a margin
+that covers its rounding (see ``_cutoff``); the pairs near the threshold
+go to the exact flow, so every sweep drops the same pairs as the kernel
+alone.  The verifier skips the pairs that routes 2 and 3 pass.
 
 Included: pair checks and witness couplings, the greatest-fixpoint
 relation at (eps, delta), strong bisimulation (a label array refined by
@@ -46,8 +57,10 @@ from .model import Ctmc, _expect, _number, direct_sum
 
 FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
-#: most cells of one float temporary of the rate test and of the class-mass bound
+#: most cells of one temporary of the rate test, the class-mass bound and the pair deciders
 FILTER_CELLS = 1 << 16
+#: most successors of each row of a pair whose flow ``_decide`` reads off its cuts
+ENUM_DEGREE = 4
 
 
 # --------------------------------------------------------------------------
@@ -65,18 +78,33 @@ def _check_tolerances(eps: float, delta: float) -> None:
 def _pair_matrix(pairs: Iterable[tuple[int, int]], n: int) -> np.ndarray:
     """The n x n boolean matrix holding ``pairs``.  ValueError naming a pair with an entry not an int or a
     numpy integer (a ``bool`` is neither), else the smallest pair out of ``range(n)``, smaller entry first."""
-    a = np.array(list(pairs), dtype=object)
-    a = a.reshape(len(a), 2)
-    if odd := {k for k in set(map(type, a.flat)) if k is bool or not issubclass(k, (int, np.integer))}:
-        bad = next(p for p in a.tolist() if odd.intersection(map(type, p)))
+    rows = list(pairs)
+    # the entries as two lists, read straight off the pairs: numpy is slow to build arrays of small tuples
+    if set(map(type, rows)) <= {tuple, list} and set(map(len, rows)) <= {2}:
+        cols = [list(map(operator.itemgetter(i), rows)) for i in (0, 1)]
+    else:  # numpy's own error for a pair that is not two entries
+        cols = np.array(rows, dtype=object).reshape(len(rows), 2).T.tolist()
+    if odd := {k for k in set(map(type, cols[0] + cols[1])) if k is bool or not issubclass(k, (int, np.integer))}:
+        bad = next(p for p in zip(*cols) if odd.intersection(map(type, p)))
         raise ValueError(f"pair {tuple(bad)} has an entry that is not an integer")
+    try:  # every entry is an integer: compare and index in C
+        a = np.array(cols, dtype=np.intp).T
+    except OverflowError:  # an entry past intp, so out of range: compared as Python ints
+        a = np.array(cols, dtype=object).T
     out = ((a < 0) | (a >= n)).any(axis=1)
     if out.any():
         s, t = min(sorted(p) for p in a[out].tolist())
         raise ValueError(f"pair ({s},{t}) out of range")
     m = np.zeros((n, n), dtype=bool)
-    m[tuple(a.astype(np.intp).T)] = True
+    m[tuple(a.T)] = True
     return m
+
+
+def _index_pairs(m: np.ndarray) -> Iterable[tuple[int, int]]:
+    """The ``(s, t)`` with ``m[s, t]`` set, in row-major order, from two flat
+    lists of ints rather than one list per pair."""
+    s, t = np.nonzero(m)
+    return zip(s.tolist(), t.tolist())
 
 
 class PairRelation:
@@ -121,7 +149,7 @@ class PairRelation:
 
     @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(map(tuple, np.argwhere(self.matrix).tolist()))
+        return frozenset(_index_pairs(self.matrix))
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -132,7 +160,7 @@ class PairRelation:
         return self.adjacency[s]
 
     def off_diagonal(self) -> list[tuple[int, int]]:
-        return list(map(tuple, np.argwhere(np.triu(self.matrix, 1)).tolist()))
+        return list(_index_pairs(np.triu(self.matrix, 1)))
 
     @cached_property
     def _label(self) -> np.ndarray:
@@ -447,28 +475,43 @@ def _initial_related(M: Ctmc, delta: float) -> np.ndarray:
     return ok
 
 
-def _mass_cutoff(threshold: tuple[int, int], n: int) -> float:
-    """The largest float ``c`` with ``c <= thr * (1 - gamma_2n)``, where
-    ``thr`` is the exact ``threshold`` and ``gamma_m = m u / (1 - m u)``
-    with ``u = 2**-53`` (0.0 when ``thr <= 0``, where every pair passes).
+def _cutoff(threshold: tuple[int, int], m: int, above: bool = False) -> float:
+    """The largest float ``<= thr * (1 - gamma_m)``, or with ``above`` the
+    smallest float ``>= thr * (1 + gamma_m)``, where ``thr`` is the exact
+    ``threshold`` and ``gamma_m = m u / (1 - m u)`` with ``u = 2**-53``
+    (0.0 when ``thr <= 0``, where every pair passes: no float mass is below
+    it, and every one is at or above it).
 
-    A computed class-mass bound below ``c`` proves an exact bound below
+    A float sum of m or fewer nonnegative floats, in any order, lies within
+    a factor ``1 +- gamma_m`` of the exact sum.  So a float mass below the
+    cutoff proves an exact mass below ``thr``, and a float mass at or above
+    the ``above`` cutoff an exact mass at or above it.
+    """
+    thr, exp = threshold
+    if thr <= 0:
+        return 0.0
+    mu = Fraction(m, 1 << 53)
+    exact = Fraction(thr, 1 << exp) * (1 if above else 1 - 2 * mu) / (1 - mu)
+    cut = float(exact)  # correctly rounded
+    if above:
+        return cut if Fraction(cut) >= exact else math.nextafter(cut, math.inf)
+    return cut if Fraction(cut) <= exact else math.nextafter(cut, 0.0)
+
+
+def _mass_cutoff(threshold: tuple[int, int], n: int) -> float:
+    """The cutoff of the class-mass bound: ``_cutoff`` at ``gamma_2n``.
+
+    A computed class-mass bound below it proves an exact bound below
     ``thr``.  Write ``c_C`` for the exact ``P(s, C)``.  Its float ``P @
     onehot`` sums n terms, each product with 0 or 1 exact, so in any
     summation order ``(1 - gamma_{n-1}) c_C <= fl(c_C)``; ``min`` keeps
     that, and the float sum of the k <= n class minima loses at most
     another factor ``1 - gamma_{k-1}``.  So the float bound is at least
     ``(1 - gamma_{n-1}) (1 - gamma_{k-1}) >= 1 - gamma_2n`` times the exact
-    one, and the margin ``thr - c`` is ``thr * gamma_2n`` plus the rounding
-    of ``c`` down to a float.
+    one, and the margin is ``thr * gamma_2n`` plus the rounding of the
+    cutoff down to a float.
     """
-    thr, exp = threshold
-    if thr <= 0:
-        return 0.0
-    mu = Fraction(2 * n, 1 << 53)
-    exact = Fraction(thr, 1 << exp) * (1 - 2 * mu) / (1 - mu)
-    cut = float(exact)  # correctly rounded
-    return cut if Fraction(cut) <= exact else math.nextafter(cut, 0.0)
+    return _cutoff(threshold, 2 * n)
 
 
 def _mass_rejects(P: np.ndarray, related: np.ndarray, todo: np.ndarray, cut: float) -> np.ndarray:
@@ -487,6 +530,85 @@ def _mass_rejects(P: np.ndarray, related: np.ndarray, todo: np.ndarray, cut: flo
     return out
 
 
+def _decide(M: Ctmc, related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
+    """Boolean arrays ``(passes, fails)`` over the ``(k, 2)`` array
+    ``pairs``: a pass clears the exact threshold in both orientations at
+    the boolean relation matrix ``related``; a fail falls short of it in at
+    least one.  The rest are left to the flow kernel.
+
+    * A pair whose rows both have at most ``ENUM_DEGREE = D`` successors
+      gets its exact value in each orientation from its min cut (Gale,
+      Pacific J. Math. 1957): the least, over the subsets A of
+      ``succ(s)``, of ``P(s, succ(s) \\ A) + P(t, N_R(A))``, where
+      ``N_R(A)`` holds the successors of ``t`` related to a state of A.
+      The rows are padded to D entries of probability 0, which change no
+      cut's least value.  Each float cut sums at most 2D probabilities,
+      each masked exactly, so the float least cut is within a factor ``1
+      +- gamma_2D`` of the exact one (a least float cut is at most the
+      float of an exact least cut, and at least ``1 - gamma_2D`` times
+      some exact cut).  It passes at or above ``_cutoff(threshold, 2D,
+      above=True)`` in both orientations, and fails below ``_cutoff(
+      threshold, 2D)`` in either.
+    * Any other pair passes when its diagonal mass ``sum_j min(P(s, j),
+      P(t, j))`` is at or above ``_cutoff(threshold, n, above=True)``:
+      with R reflexive, shipping ``min(P(s, j), P(t, j))`` from j to j is
+      a flow in both orientations (the maximal coupling; Lindvall, 1992),
+      and its float sum of n terms is at most ``1 + gamma_n`` times the
+      exact one.  Such a pair never fails here, and none passes unless
+      ``related`` is reflexive.
+
+    Every pairs x subsets and pairs x states temporary holds at most
+    ``FILTER_CELLS`` cells (at least one pair's).
+    """
+    D = ENUM_DEGREE
+    indptr, indices = M.succ
+    deg = np.diff(indptr)
+    s, t = pairs.T
+    small = deg <= D
+    low = small[s] & small[t]
+    passes, fails = np.zeros(len(pairs), dtype=bool), np.zeros(len(pairs), dtype=bool)
+    # each state's first D successors and their probabilities, padded with state 0 at probability 0
+    src = np.repeat(np.arange(M.n), deg)
+    col = np.arange(len(indices)) - indptr[src]
+    first = col < D
+    succ, prob = np.zeros((M.n, D), dtype=np.intp), np.zeros((M.n, D))
+    succ[src[first], col[first]] = indices[first]
+    prob[src[first], col[first]] = M.P[src[first], indices[first]]
+    # subsets[a, i]: 1 when subset a holds the i-th successor, that is bit i of a
+    subsets = np.arange(1 << D)[:, None] >> np.arange(D) & 1
+    below, above = _cutoff(threshold, 2 * D), _cutoff(threshold, 2 * D, above=True)
+    step = max(1, FILTER_CELLS // (1 << D))
+    for i in range(0, len(pairs), step):
+        k = i + np.flatnonzero(low[i : i + step])
+        a, b = s[k], t[k]
+        rel = related[succ[a][:, :, None], succ[b][:, None, :]]
+        st = _least_cut(prob[a], prob[b], rel, subsets)
+        ts = _least_cut(prob[b], prob[a], rel.transpose(0, 2, 1), subsets)
+        passes[k] = (st >= above) & (ts >= above)
+        fails[k] = (st < below) | (ts < below)
+    if related.diagonal().all():  # else the diagonal coupling may ship along an unrelated pair
+        above, step = _cutoff(threshold, M.n, above=True), max(1, FILTER_CELLS // M.n)
+        diag = np.flatnonzero(~low)
+        for i in range(0, len(diag), step):
+            k = diag[i : i + step]
+            passes[k] = np.minimum(M.P[s[k]], M.P[t[k]]).sum(axis=1) >= above
+    return passes, fails
+
+
+def _least_cut(p: np.ndarray, q: np.ndarray, rel: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Per pair, the float least cut ``min_A p(~A) + q(N(A))`` over the
+    subsets A of ``subsets``, where ``p`` and ``q`` are ``(k, D)`` padded
+    rows and ``rel[:, i, j]`` relates the i-th entry of ``p`` to the j-th
+    of ``q``.  Subsets are bit masks: ``~A`` is column ``2**D - 1 - A``,
+    and ``N(A)`` is the union of the masks ``rel[:, i]`` over i in A."""
+    mass_p, mass_q = p @ subsets.T, q @ subsets.T  # the float mass of every subset
+    bits = rel @ (1 << np.arange(p.shape[1]))
+    nbr = np.zeros(mass_q.shape, dtype=bits.dtype)
+    for i in range(p.shape[1]):
+        nbr |= subsets[:, i] * bits[:, i, None]
+    return (mass_p[:, ::-1] + np.take_along_axis(mass_q, nbr, axis=1)).min(axis=1)
+
+
 def _into_preds(pred: graph.Index, X: np.ndarray) -> np.ndarray:
     """Row ``v`` of the result: the union of the rows ``X[a]`` over the successors ``a`` of ``v``."""
     indptr, indices = pred
@@ -496,7 +618,19 @@ def _into_preds(pred: graph.Index, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flow_failures(rows: list[_Row], related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
+class _Rows(dict):
+    """The ``_row`` of each state of ``M``, built when first asked for."""
+
+    def __init__(self, M: Ctmc):
+        super().__init__()
+        self.M = M
+
+    def __missing__(self, s: int) -> _Row:
+        self[s] = row = _row(self.M, s)
+        return row
+
+
+def _flow_failures(rows: _Rows, related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
     """Check each pair ``(s, t)`` of the ``(k, 2)`` array ``pairs`` in
     order, ``(s, t)`` and then ``(t, s)``, and yield ``(i, (a, b), f)`` for
     each pair ``i`` whose flow ``f`` in orientation ``(a, b)`` falls short
@@ -520,24 +654,37 @@ def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
     ``(a, b)`` dropped by the sweep before, ``a`` a successor of ``s`` and
     ``b`` one of ``t``: no other pair's network has changed.
 
-    Before any flow, a sweep bounds its pairs by class mass over the
-    components of the relation as of its start (``_mass_rejects``).  Any
-    flow along the relation stays within those classes, so a pair whose
-    float bound is below ``_mass_cutoff`` (the exact threshold less a
-    margin for the rounding of the bound) fails both orientations, and it
-    is dropped with no flow solved.  Every other pair gets the exact flow
-    check, so each sweep checks and drops the same pairs as with the flow
-    check alone.
+    Each pair takes the first of four routes that decides it, all against
+    the relation as of the sweep's start:
+
+    1. class-mass reject (``_mass_rejects``): any flow along the relation
+       stays within its connected components, so a pair whose float bound
+       is below ``_mass_cutoff`` (the exact threshold less a margin for the
+       rounding of the bound) fails both orientations and is dropped;
+    2. cut enumeration (``_decide``): a pair whose rows both have at most
+       ``ENUM_DEGREE`` successors passes or is dropped on its least cut in
+       each orientation, when that clears the threshold by the rounding
+       margin of ``_cutoff`` on the right side;
+    3. diagonal pass (``_decide``): any other pair passes when its
+       diagonal coupling carries the threshold by that margin;
+    4. the exact flow kernel (``_flow_failures``) for every pair left,
+       whose rows are built only when first needed.
+
+    Routes 1-3 decide only what the exact flows decide, so each sweep
+    checks and drops the same pairs as with the flow check alone.
     """
-    rows = [_row(M, s) for s in range(M.n)]
+    rows = _Rows(M)
     threshold = _threshold(eps, eta)
     cut = _mass_cutoff(threshold, M.n)
     todo = np.argwhere(np.triu(related, 1))
     while len(todo):
         fails = _mass_rejects(M.P, related, todo, cut)
         kept = np.flatnonzero(~fails)
-        for i, _, _ in _flow_failures(rows, related, threshold, todo[kept]):
-            fails[kept[i]] = True
+        passes, decided = _decide(M, related, threshold, todo[kept])
+        fails[kept] = decided
+        rest = kept[~(passes | decided)]
+        for i, _, _ in _flow_failures(rows, related, threshold, todo[rest]):
+            fails[rest[i]] = True
         drop = todo[fails]
         related[drop[:, 0], drop[:, 1]] = related[drop[:, 1], drop[:, 0]] = False
         yield todo, drop
@@ -578,7 +725,7 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
     the first failure.  Rewards are checked after the other conditions
     have passed for every pair.  Labels, rates and rewards are screened
     on arrays; flows run only for the pairs before the first label or
-    rate failure."""
+    rate failure that ``_decide`` does not pass."""
     if R.n != M.n:
         raise ValueError("relation size does not match the chain")
     pairs = np.argwhere(np.triu(R.matrix, 1))  # R.off_diagonal(), in order
@@ -587,8 +734,9 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
     # a NaN rate gap is not > delta, so it fails no pair
     bad = np.flatnonzero((label[s] != label[t]) | (np.abs(lnE[s] - lnE[t]) > R.delta + DELTA_SLACK))
     stop = int(bad[0]) if len(bad) else len(pairs)
-    rows = [_row(M, v) for v in range(M.n)]
-    for _, pair, f in _flow_failures(rows, R.matrix, _threshold(R.eps, eta), pairs[:stop]):
+    threshold = _threshold(R.eps, eta)
+    passes, _ = _decide(M, R.matrix, threshold, pairs[:stop])
+    for _, pair, f in _flow_failures(_Rows(M), R.matrix, threshold, pairs[:stop][~passes]):
         return RelationCheck(False, pair, "eps", f"max related mass {_related_mass(f):.12g} < 1 - eps")
     if len(bad):
         a, b = pairs[stop].tolist()
