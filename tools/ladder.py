@@ -1,9 +1,10 @@
 """Shared driver of the scaling ladders in this directory.
 
-A ladder script defines ``child(src, family, n)``, which times one rung in
-the calling process and returns a record with ``seconds``, ``max_rss_mb``
-(from :func:`max_rss_mb`), a ``digest`` of the result and any other
-result fields, and hands it to :func:`main` with its families of rungs.
+A ladder script defines ``setup(family, n)``, which builds a rung's inputs
+untimed and returns ``(call, describe)``: :func:`measure` times ``call()``,
+reads the max RSS right after it, and only then runs ``describe(result)``
+for the record's other fields and the value its digest covers.  The script
+hands ``setup`` to :func:`main` with its families of rungs.
 :func:`main` then gives the script this command line:
 
     python3 tools/SCRIPT.py --checkout PATH --label NAME [--out FILE]
@@ -26,6 +27,7 @@ such rung.  Only numpy and the standard library are used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,6 +35,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 from typing import Callable
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -44,6 +47,20 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def max_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def measure(setup: Callable, src: str, family: str, n: int) -> dict:
+    """One timed rung in this process, with ``src`` and this checkout's
+    ``bench/`` first on ``sys.path``; returns its record."""
+    sys.path[:0] = [src, BENCH]
+    call, describe = setup(family, n)
+    start = time.perf_counter()
+    result = call()
+    seconds = time.perf_counter() - start
+    rss = max_rss_mb()
+    fields, digested = describe(result)
+    return {"seconds": seconds, "max_rss_mb": rss, **fields,
+            "digest": hashlib.sha256(json.dumps(digested).encode()).hexdigest()[:16]}
 
 
 def run_rung(script: str, src: str, family: str, n: int) -> list[dict]:
@@ -91,14 +108,14 @@ def ladder(script: str, src: str, families: dict[str, tuple[int, ...]]) -> dict:
     return out
 
 
-def main(script: str, child: Callable[[str, str, int], dict], families: dict[str, tuple[int, ...]],
+def main(script: str, setup: Callable, families: dict[str, tuple[int, ...]],
          harness: str, out: str, digest_of: str) -> None:
-    """Run ``child`` for ``--child SRC FAMILY N``, else the ladder of
+    """Run :func:`measure` for ``--child SRC FAMILY N``, else the ladder of
     ``script`` as described above.  ``harness`` describes the timed call
     (RUNS, SKIP_AFTER_S and the process setup are appended), ``out`` is
     the default FILE and ``digest_of`` names what the digest covers."""
     if len(sys.argv) == 5 and sys.argv[1] == "--child":
-        print(json.dumps(child(sys.argv[2], sys.argv[3], int(sys.argv[4]))))
+        print(json.dumps(measure(setup, sys.argv[2], sys.argv[3], int(sys.argv[4]))))
         return
     ap = argparse.ArgumentParser(description=harness)
     ap.add_argument("--checkout", required=True, help="root of the checkout whose src/ is timed")

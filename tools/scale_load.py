@@ -21,12 +21,9 @@ digest check are those of ``tools/ladder.py``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import sys
 import tempfile
-import time
 
 import ladder
 
@@ -34,10 +31,9 @@ SEED = 0
 FAMILIES = {"load": (200, 800, 1600), "save": (200, 800, 1600)}
 
 
-def child(src: str, family: str, n: int) -> dict:
-    """One timed ``load_model`` or ``save_model`` call in this process;
-    returns its record."""
-    sys.path[:0] = [src, ladder.BENCH]
+def setup(family: str, n: int):
+    """The ``load_model`` or ``save_model`` call of one rung, on a file in
+    a temporary directory that its description removes."""
     import numpy as np
 
     import gen
@@ -45,30 +41,27 @@ def child(src: str, family: str, n: int) -> dict:
     from ctmcbisim.model import model_to_dict
 
     chain = gen.uniform_dense(np.random.default_rng(SEED), n)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.json")
-        if family == "load":
-            gen.write_model(chain, path)
-            start = time.perf_counter()
-            M = load_model(path)
-            seconds = time.perf_counter() - start
-            result = model_to_dict(M)
-        else:
-            M = validate(Ctmc(**chain))
-            start = time.perf_counter()
-            save_model(M, path)
-            seconds = time.perf_counter() - start
-            with open(path, encoding="utf-8") as fh:
-                result = json.load(fh)
-    return {
-        "seconds": seconds,
-        "max_rss_mb": ladder.max_rss_mb(),
-        "transitions": len(result["transitions"]),
-        "digest": hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16],
-    }
+    tmp = tempfile.TemporaryDirectory()
+    path = os.path.join(tmp.name, "model.json")
+
+    def described(result: dict) -> tuple[dict, dict]:
+        tmp.cleanup()
+        return {"transitions": len(result["transitions"])}, result
+
+    if family == "load":
+        gen.write_model(chain, path)
+        return lambda: load_model(path), lambda M: described(model_to_dict(M))
+    M = validate(Ctmc(**chain))
+
+    def read_back(_) -> tuple[dict, dict]:
+        with open(path, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        return described(saved)
+
+    return lambda: save_model(M, path), read_back
 
 
 if __name__ == "__main__":
-    ladder.main(__file__, child, FAMILIES,
+    ladder.main(__file__, setup, FAMILIES,
                 f"tools/scale_load.py: load_model and save_model on uniform_dense, seed {SEED}",
                 "BENCH_load.json", "model_to_dict")

@@ -29,23 +29,16 @@ those of ``tools/ladder.py``.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
-import time
-
 import numpy as np
 
 import ladder
 
 SEED = 0
-FAMILIES = {
-    # family: (rungs, eps, delta)
-    "sparse": ((301, 1001, 3001), 0.1, 0.1),
-    "dense": ((50, 100, 200), 0.1, 0.0),
-}
-FAMILIES.update({f"verify-{family}": spec for family, spec in FAMILIES.items()})
-FAMILIES["classes"] = FAMILIES["compose-classes"] = ((500, 1000, 2000), 0.9, 0.0)
+FAMILIES = {"sparse": (301, 1001, 3001), "dense": (50, 100, 200)}
+FAMILIES.update({f"verify-{family}": rungs for family, rungs in FAMILIES.items()})
+FAMILIES["classes"] = FAMILIES["compose-classes"] = (500, 1000, 2000)
+#: (eps, delta) of each chain family
+TOLERANCES = {"sparse": (0.1, 0.1), "dense": (0.1, 0.0), "classes": (0.9, 0.0)}
 
 
 def classes_chain(rng, n: int) -> dict:
@@ -62,43 +55,38 @@ def classes_chain(rng, n: int) -> dict:
             "P": P, "E": np.ones(n), "initial": 0, "goal": (), "fail": ()}
 
 
-def child(src: str, family: str, n: int) -> dict:
-    """One timed fixpoint, or one fixpoint and its timed verification or composition, in
-    this process; returns its record."""
-    sys.path[:0] = [src, ladder.BENCH]
+def setup(family: str, n: int):
+    """The timed fixpoint of one rung, or its untimed fixpoint and the timed
+    verification or composition."""
     import gen
     from ctmcbisim import Ctmc, compose, epsilon_delta_bisim, is_bisimulation, validate
 
     rng = np.random.default_rng(SEED)
-    _, eps, delta = FAMILIES[family]
     chains = family.removeprefix("verify-").removeprefix("compose-")
+    eps, delta = TOLERANCES[chains]
     if chains == "classes":
         d = classes_chain(rng, n)
     else:
         d = gen.replicated_blocks(rng, n // gen.BLOCK, eps, delta) if chains == "sparse" else gen.dense_labeled(rng, n)
     M = validate(Ctmc(**d))
-    start = time.perf_counter()
+    if family == chains:
+        return lambda: epsilon_delta_bisim(M, eps, delta), _related
     R = epsilon_delta_bisim(M, eps, delta)
-    seconds = time.perf_counter() - start
-    result = off = R.off_diagonal()
     if family == "compose-classes":
-        start = time.perf_counter()
-        C = compose(R, R)
-        seconds = time.perf_counter() - start
-        result = off = C.off_diagonal()
-    elif family != chains:
-        start = time.perf_counter()
-        check = is_bisimulation(M, R)
-        seconds = time.perf_counter() - start
-        result = [check.ok, check.pair, check.condition, check.detail, off]
-    return {
-        "seconds": seconds,
-        "max_rss_mb": ladder.max_rss_mb(),
-        "related_pairs": len(off),
-        "digest": hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16],
-    }
+        return lambda: compose(R, R), _related
+
+    def described(check) -> tuple[dict, list]:
+        off = R.off_diagonal()
+        return {"related_pairs": len(off)}, [check.ok, check.pair, check.condition, check.detail, off]
+
+    return lambda: is_bisimulation(M, R), described
+
+
+def _related(R) -> tuple[dict, list]:
+    off = R.off_diagonal()
+    return {"related_pairs": len(off)}, off
 
 
 if __name__ == "__main__":
-    ladder.main(__file__, child, {family: rungs for family, (rungs, _, _) in FAMILIES.items()},
+    ladder.main(__file__, setup, FAMILIES,
                 f"tools/scale_relate.py: epsilon_delta_bisim, is_bisimulation and compose, seed {SEED}", "BENCH_relate.json", "relation")

@@ -17,10 +17,6 @@ digest of the whole ``SimulationResult``.  FILE defaults to
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import sys
-import time
 
 import ladder
 
@@ -30,27 +26,18 @@ HORIZON = 10.0
 FAMILIES = {"uniform": (200, 800, 1600)}
 
 
-def child(src: str, family: str, n: int) -> dict:
-    """One timed ``simulate_paths`` call in this process; returns its record."""
-    sys.path[:0] = [src, ladder.BENCH]
+def setup(family: str, n: int):
+    """The ``simulate_paths`` call of one rung."""
     import numpy as np
 
     import gen
     from ctmcbisim import Ctmc, simulate_paths, validate
 
     M = validate(Ctmc(**gen.uniform_dense(np.random.default_rng(SEED), n)))
-    start = time.perf_counter()
-    res = simulate_paths(M, PATHS, HORIZON, SEED)
-    seconds = time.perf_counter() - start
-    return {
-        "seconds": seconds,
-        "max_rss_mb": ladder.max_rss_mb(),
-        "hits": res.hits,
-        "digest": hashlib.sha256(json.dumps(dataclasses.asdict(res)).encode()).hexdigest()[:16],
-    }
+    return lambda: simulate_paths(M, PATHS, HORIZON, SEED), lambda res: ({"hits": res.hits}, dataclasses.asdict(res))
 
 
 if __name__ == "__main__":
-    ladder.main(__file__, child, FAMILIES,
+    ladder.main(__file__, setup, FAMILIES,
                 f"tools/scale_simulate.py: simulate_paths, {PATHS} paths, t = {HORIZON:g}, seed {SEED}",
                 "BENCH_simulate.json", "hits")

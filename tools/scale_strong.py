@@ -19,20 +19,14 @@ as its ascending state list, in the partition's order.  FILE defaults to
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
-import time
-
 import ladder
 
 SEED = 0
 FAMILIES = {"sparse": (301, 1001, 3001), "dense": (50, 200)}
 
 
-def child(src: str, family: str, n: int) -> dict:
-    """One timed ``strong_bisim`` call in this process; returns its record."""
-    sys.path[:0] = [src, ladder.BENCH]
+def setup(family: str, n: int):
+    """The ``strong_bisim`` call of one rung."""
     import numpy as np
 
     import gen
@@ -41,18 +35,9 @@ def child(src: str, family: str, n: int) -> dict:
     rng = np.random.default_rng(SEED)
     d = gen.replicated_blocks(rng, n // gen.BLOCK, 0.1, 0.1) if family == "sparse" else gen.dense_labeled(rng, n)
     M = validate(Ctmc(**d))
-    start = time.perf_counter()
-    part = strong_bisim(M)
-    seconds = time.perf_counter() - start
-    blocks = [sorted(b) for b in part.blocks]
-    return {
-        "seconds": seconds,
-        "max_rss_mb": ladder.max_rss_mb(),
-        "blocks": len(blocks),
-        "digest": hashlib.sha256(json.dumps(blocks).encode()).hexdigest()[:16],
-    }
+    return lambda: strong_bisim(M), lambda part: ({"blocks": len(part.blocks)}, [sorted(b) for b in part.blocks])
 
 
 if __name__ == "__main__":
-    ladder.main(__file__, child, FAMILIES, f"tools/scale_strong.py: strong_bisim, seed {SEED}",
+    ladder.main(__file__, setup, FAMILIES, f"tools/scale_strong.py: strong_bisim, seed {SEED}",
                 "BENCH_strong.json", "blocks")
