@@ -46,8 +46,8 @@ import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from functools import cache, cached_property, partial
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -618,26 +618,14 @@ def _into_preds(pred: graph.Index, X: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Rows(dict):
-    """The ``_row`` of each state of ``M``, built when first asked for."""
-
-    def __init__(self, M: Ctmc):
-        super().__init__()
-        self.M = M
-
-    def __missing__(self, s: int) -> _Row:
-        self[s] = row = _row(self.M, s)
-        return row
-
-
-def _flow_failures(rows: _Rows, related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
+def _flow_failures(row: Callable[[int], _Row], related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
     """Check each pair ``(s, t)`` of the ``(k, 2)`` array ``pairs`` in
     order, ``(s, t)`` and then ``(t, s)``, and yield ``(i, (a, b), f)`` for
     each pair ``i`` whose flow ``f`` in orientation ``(a, b)`` falls short
     of the threshold."""
     for i, (s, t) in enumerate(pairs.tolist()):
         for a, b in ((s, t), (t, s)):
-            f = _max_flow(rows[a], rows[b], related, threshold, stop=True)
+            f = _max_flow(row(a), row(b), related, threshold, stop=True)
             if f.value < f.target:
                 yield i, (a, b), f
                 break
@@ -673,7 +661,7 @@ def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
     Routes 1-3 decide only what the exact flows decide, so each sweep
     checks and drops the same pairs as with the flow check alone.
     """
-    rows = _Rows(M)
+    row = cache(partial(_row, M))
     threshold = _threshold(eps, eta)
     cut = _mass_cutoff(threshold, M.n)
     todo = np.argwhere(np.triu(related, 1))
@@ -683,7 +671,7 @@ def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
         passes, decided = _decide(M, related, threshold, todo[kept])
         fails[kept] = decided
         rest = kept[~(passes | decided)]
-        for i, _, _ in _flow_failures(rows, related, threshold, todo[rest]):
+        for i, _, _ in _flow_failures(row, related, threshold, todo[rest]):
             fails[rest[i]] = True
         drop = todo[fails]
         related[drop[:, 0], drop[:, 1]] = related[drop[:, 1], drop[:, 0]] = False
@@ -736,7 +724,7 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
     stop = int(bad[0]) if len(bad) else len(pairs)
     threshold = _threshold(R.eps, eta)
     passes, _ = _decide(M, R.matrix, threshold, pairs[:stop])
-    for _, pair, f in _flow_failures(_Rows(M), R.matrix, threshold, pairs[:stop][~passes]):
+    for _, pair, f in _flow_failures(cache(partial(_row, M)), R.matrix, threshold, pairs[:stop][~passes]):
         return RelationCheck(False, pair, "eps", f"max related mass {_related_mass(f):.12g} < 1 - eps")
     if len(bad):
         a, b = pairs[stop].tolist()

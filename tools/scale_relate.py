@@ -20,6 +20,11 @@ The family ``classes`` times the fixpoint on the chains of
 relations hold large classes; ``compose-classes`` takes the same chains,
 computes the fixpoint untimed and times ``compose(R, R)``.
 
+The family ``cross`` times the fixpoint at eps 0.1, delta 0.1 on the
+direct sum of ``dense_labeled`` at n = 50, 100, 200 and its
+:func:`cross_copy`: the pairs across the two chains are the only ones of
+this ladder that reach the exact flow kernel.
+
 Each rung records the number of related pairs and a digest of the
 relation (on a compose rung, of the composed one), and on a verify rung
 also of the ``RelationCheck``.  FILE
@@ -37,8 +42,9 @@ SEED = 0
 FAMILIES = {"sparse": (301, 1001, 3001), "dense": (50, 100, 200)}
 FAMILIES.update({f"verify-{family}": rungs for family, rungs in FAMILIES.items()})
 FAMILIES["classes"] = FAMILIES["compose-classes"] = (500, 1000, 2000)
+FAMILIES["cross"] = (50, 100, 200)
 #: (eps, delta) of each chain family
-TOLERANCES = {"sparse": (0.1, 0.1), "dense": (0.1, 0.0), "classes": (0.9, 0.0)}
+TOLERANCES = {"sparse": (0.1, 0.1), "dense": (0.1, 0.0), "classes": (0.9, 0.0), "cross": (0.1, 0.1)}
 
 
 def classes_chain(rng, n: int) -> dict:
@@ -55,11 +61,23 @@ def classes_chain(rng, n: int) -> dict:
             "P": P, "E": np.ones(n), "initial": 0, "goal": (), "fail": ()}
 
 
+def cross_copy(rng, d: dict) -> dict:
+    """A copy of the chain ``d`` whose jump probabilities are each scaled by
+    ``1 + 0.05 U(0, 1)`` and renormalised, with rates 1.02 times as large
+    and ids ``b{i}``.  In the direct sum of ``d`` and its copy, a pair
+    across the two halves shares no successor, so no diagonal coupling
+    passes it, and a pair of ``dense_labeled`` rows has too many successors
+    for the cut enumeration: every such pair goes to the exact flow kernel."""
+    P = d["P"] * (1 + 0.05 * rng.random(d["P"].shape))
+    return {**d, "ids": tuple(f"b{i}" for i in range(len(d["ids"]))), "P": P / P.sum(axis=1, keepdims=True),
+            "E": d["E"] * 1.02}
+
+
 def setup(family: str, n: int):
     """The timed fixpoint of one rung, or its untimed fixpoint and the timed
     verification or composition."""
     import gen
-    from ctmcbisim import Ctmc, compose, epsilon_delta_bisim, is_bisimulation, validate
+    from ctmcbisim import Ctmc, compose, direct_sum, epsilon_delta_bisim, is_bisimulation, validate
 
     rng = np.random.default_rng(SEED)
     chains = family.removeprefix("verify-").removeprefix("compose-")
@@ -69,6 +87,8 @@ def setup(family: str, n: int):
     else:
         d = gen.replicated_blocks(rng, n // gen.BLOCK, eps, delta) if chains == "sparse" else gen.dense_labeled(rng, n)
     M = validate(Ctmc(**d))
+    if chains == "cross":
+        M = validate(direct_sum(M, Ctmc(**cross_copy(rng, d))))
     if family == chains:
         return lambda: epsilon_delta_bisim(M, eps, delta), _related
     R = epsilon_delta_bisim(M, eps, delta)
