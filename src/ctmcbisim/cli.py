@@ -28,7 +28,7 @@ from .erlang import (
 )
 from .model import _normal_form, direct_sum, load_model, model_to_dict
 from .pairuniform import uniformize_pair
-from .rewards import eliminate_zero_reward_states, hat_transform, reward_bound, reward_reach
+from .rewards import _budget_reach, _clock_chain, reward_bound
 from .spectral import (
     combined_bound,
     decompose,
@@ -169,15 +169,11 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_reward_reach(args) -> int:
-    M = load_model(args.model)
-    value = reward_reach(M, args.state, args.bound, args.tol)
-    report = {"budget": args.bound, "value": value}
+    chain = _clock_chain(load_model(args.model), args.state)
+    report = {"budget": args.bound, "value": _budget_reach(chain, args.bound, args.tol)}
     if args.eps is not None or args.delta is not None:
-        eps = args.eps or 0.0
-        delta = args.delta or 0.0
-        q_hat = float(hat_transform(eliminate_zero_reward_states(M)).max_rate())
-        report["q_hat"] = q_hat
-        report["bound"] = reward_bound(eps, delta, q_hat, args.bound)
+        q_hat = 0.0 if chain is None else float(chain.max_rate())  # a goal start never moves
+        report.update(q_hat=q_hat, bound=reward_bound(args.eps or 0.0, args.delta or 0.0, q_hat, args.bound))
     _json(report, args.out)
     return 0
 

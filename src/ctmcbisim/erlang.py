@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonUniformRates, NotApplicable, TruncationLimit
-from .model import Ctmc
+from .model import Ctmc, _normal_form
 from .transient import MAX_TERMS, _check_tol, _lengths, _poisson_pmf, expected_hit_steps, hit_exact_steps
 
 
@@ -190,14 +190,11 @@ def _uniform_rate(M: Ctmc) -> float:
     return float(M.E[0])
 
 
-def _curve_args(M: Ctmc, delta: float, tol: float) -> tuple[float, float]:
-    """The uniform rate and ``e^delta`` of an Erlang-curve call, after
-    checking the single goal and ``tol``."""
-    r = _uniform_rate(M)
-    M.goal_state()
+def _prepare(M: Ctmc, delta: float) -> tuple[float, Ctmc, float]:
+    """The prologue of every Erlang and spectral curve: ``e^delta``, the normal form, its rate."""
     c = rate_factor(delta)
-    _check_tol(tol)
-    return r, c
+    Mn = _normal_form(M)
+    return c, Mn, _uniform_rate(Mn)
 
 
 def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
@@ -206,16 +203,17 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     <= that mass).  Raises :class:`TruncationLimit` when that mass is still
     >= tol after ``MAX_TERMS`` steps.
 
-    The hit-step distribution does not depend on t, so it is computed once
-    for the whole grid.  General uniform rate r is handled by evaluating at
-    t' = r*t.
+    The p_n, hit-step probabilities of the normal form, do not depend on t,
+    so they are computed once for the whole grid.  General uniform rate r is
+    handled by evaluating at t' = r*t.
     """
-    r, c = _curve_args(M, delta, tol)
+    c, Mn, r = _prepare(M, delta)
+    _check_tol(tol)
     ts = [float(t) for t in t_grid]
     if delta == 0.0 or not any(ts):
         return np.zeros(len(ts))
     for K in _lengths(64, MAX_TERMS):
-        hits = hit_exact_steps(M, K)
+        hits = hit_exact_steps(Mn, K)
         if hits.tail_mass < tol:
             return gap_curve(c, r, ts, [(1.0, hits.probs)])
     raise TruncationLimit(
@@ -230,7 +228,7 @@ def exact_diff_series(M: Ctmc, delta: float, t: float, tol: float = 1e-9) -> flo
 
 def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     """E(steps) * sum_n (1/n) erlang_diff(n, e^delta, t'), clamped at 1, at
-    every grid time.
+    every grid time, E(steps) being that of the normal form.
 
     The truncation remainder is certified through the exact identity
     sum_{n>=1} erlang_diff(n, c, t') = t' (c - 1): the tail satisfies
@@ -239,8 +237,9 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
     The expected step count is computed once; the truncation point K
     depends on t and is found per grid time.
     """
-    r, c = _curve_args(M, delta, tol)
-    ex = expected_hit_steps(M)
+    c, Mn, r = _prepare(M, delta)
+    _check_tol(tol)
+    ex = expected_hit_steps(Mn)
     if math.isinf(ex):
         raise NotApplicable("expected hitting steps are infinite (fail state reachable)")
     out = np.zeros(len(t_grid))

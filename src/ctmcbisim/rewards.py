@@ -18,7 +18,7 @@ import numpy as np
 from . import graph
 from .erlang import uniformization_bound
 from .errors import AbsorbingState, NonzeroReward, ZeroReward, ZeroRewardCycle
-from .model import Ctmc, _absorbing_states, restrict
+from .model import Ctmc, _absorbing_states, _normal_form, restrict
 from .transient import timed_reach
 
 
@@ -119,20 +119,32 @@ def hat_transform(M: Ctmc) -> Ctmc:
     return replace(M, E=E, rewards=None, rate_exprs=None)
 
 
+def _clock_chain(M: Ctmc, s: int | str | None) -> Ctmc | None:
+    """The chain :func:`reward_reach` reads: M's normal form seen from s, zero-reward
+    states eliminated, clock rescaled; None for a goal state s.  A zero-reward goal,
+    or start outside the fail states, raises :class:`ZeroReward` with its index in M."""
+    rewards = _require_rewards(M)
+    start = M.initial if s is None else M.index(s)
+    zero = [x for x in (*M.goal, start) if rewards[x] == 0.0 and x not in M.fail]
+    if zero:
+        raise ZeroReward(zero[0])
+    if start in M.goal:
+        return None
+    return hat_transform(eliminate_zero_reward_states(_normal_form(replace(M, initial=start))))
+
+
+def _budget_reach(chain: Ctmc | None, r: float, tol: float) -> float:
+    return 1.0 if chain is None else timed_reach(chain, None, r, tol)
+
+
 def reward_reach(M: Ctmc, s: int | str | None, r: float, tol: float = 1e-9) -> float:
     """Probability of reaching the goal before spending reward budget r.
 
-    Pipeline: eliminate zero-reward states, rescale the clock by the reward
-    rates, then evaluate time-bounded reachability at horizon r."""
+    Pipeline: the normal form seen from s, its zero-reward states eliminated,
+    its clock rescaled by the reward rates, timed reachability at r (1.0 from a goal)."""
     if r < 0.0:
         raise ValueError("the reward budget must be nonnegative")
-    chain = hat_transform(eliminate_zero_reward_states(M))
-    orig = M.initial if s is None else M.index(s)
-    try:
-        start = chain.index(M.ids[orig])
-    except KeyError:
-        raise ZeroReward(orig) from None
-    return timed_reach(chain, start, r, tol)
+    return _budget_reach(_clock_chain(M, s), r, tol)
 
 
 def reward_bound(eps: float, delta: float, q_hat: float, r: float) -> float:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bisim import _joined, split_construction
-from .erlang import _uniform_rate, erlang_N_bound, gap_curve, rate_factor, uniformization_bound
+from .erlang import _prepare, erlang_N_bound, gap_curve, uniformization_bound
 from .errors import (
     AcyclicChain,
     DecompositionFallbackWarning,
@@ -358,14 +358,6 @@ def pn_jordan(sd: SpectralData, N: int) -> float:
 # --------------------------------------------------------------------------
 # bounds
 # --------------------------------------------------------------------------
-
-
-def _prepare(M: Ctmc, delta: float) -> tuple[float, Ctmc, float]:
-    """``e^delta`` (delta checked first), the goal-normalized chain and its
-    uniform rate."""
-    c = rate_factor(delta)
-    Mn = _normal_form(M)
-    return c, Mn, _uniform_rate(Mn)
 
 
 def is_embedded_acyclic(M: Ctmc) -> bool:

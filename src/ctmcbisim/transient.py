@@ -165,8 +165,8 @@ def _timed_curve(M: Ctmc, s: int | str | None, t_grid: Sequence[float], tol: flo
 
 
 def timed_reach(M: Ctmc, s: int | str | None, t: float, tol: float = 1e-9) -> float:
-    """Probability of sitting in the goal state at time t (= reaching it
-    by t, since the goal is absorbing)."""
+    """Probability of sitting in the goal state at time t on the chain as
+    given (= reaching it by t, since the goal must be absorbing)."""
     return float(_timed_curve(M, s, [t], tol)[0])
 
 
@@ -189,7 +189,7 @@ def _absorption_solve(M: Ctmc, T: list[int], b: np.ndarray) -> float:
 
 
 def reach_prob(M: Ctmc) -> float:
-    """Probability of ever reaching the goal state (untimed)."""
+    """Probability of ever reaching the absorbing goal of the chain as given."""
     g = M.goal_state()
     if M.initial == g:
         return 1.0
@@ -222,15 +222,15 @@ class HitStepDistribution:
 
 
 def hit_exact_steps(M: Ctmc, K: int) -> HitStepDistribution:
-    """p_n = (P^n - P^{n-1})[init, g] for n = 1..K (g absorbing)."""
+    """p_n = (P^n - P^{n-1})[init, g] for n = 1..K on the chain as given (g absorbing)."""
     g = M.goal_state()
     x = np.array([v[g] for v in itertools.islice(_powers(M.P, M.initial), K + 1)])
     return HitStepDistribution(probs=np.maximum(np.diff(x), 0.0), reach=reach_prob(M))
 
 
 def expected_hit_steps(M: Ctmc) -> float:
-    """Expected number of embedded steps to absorb in g; ``inf`` as soon
-    as some state reachable from the initial state cannot reach g."""
+    """Expected number of embedded steps to absorb in g on the chain as given
+    (g absorbing); ``inf`` as soon as a state reachable from the initial one cannot reach g."""
     g = M.goal_state()
     reachable = graph.reach(M.succ, [M.initial])
     can = graph.reach(M.pred, [g])
@@ -245,8 +245,8 @@ def expected_hit_steps(M: Ctmc) -> float:
 def diff_curve(M: Ctmc, c: float, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     """Ground-truth |Pr^{cM}(reach g by t) - Pr^M(reach g by t)| per grid point.
 
-    Requires a uniform-rate, goal-normalized chain; the accelerated
-    chain is ``scale(M, c)``.
+    Reads the chain as given, which must have uniform rates and an
+    absorbing goal; the accelerated chain is ``scale(M, c)``.
     """
     if not M.is_uniform():
         raise NonUniformRates("diff_curve requires a uniform-rate chain")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctmcbisim import Ctmc, fixtures, make_ctmc, spectral, validate
+from ctmcbisim import Ctmc, erlang, fixtures, make_ctmc, spectral, validate
 from ctmcbisim.erlang import _uniform_rate, erlang_N_bound, rate_factor
 from ctmcbisim.errors import DecompositionFallbackWarning, NonUniformRates, NumericalFailure, WrongKind
 from ctmcbisim.model import _normal_form
@@ -183,7 +183,9 @@ def _counting(monkeypatch, name: str) -> list[int]:
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, name, counted)
+    for home in (spectral, erlang):  # the prologue, erlang._prepare, reads erlang's names
+        if getattr(home, name, None) is real:
+            monkeypatch.setattr(home, name, counted)
     return calls
 
 
