@@ -204,20 +204,21 @@ def exact_diff_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float 
     >= tol after ``MAX_TERMS`` steps.
 
     The p_n, hit-step probabilities of the normal form, do not depend on t,
-    so they are computed once for the whole grid.  General uniform rate r is
-    handled by evaluating at t' = r*t.
+    so one call of :func:`hit_exact_steps` with the stopping rule ``tol``
+    computes them for the whole grid: a single series, checked at 64, 128,
+    ... steps up to ``MAX_TERMS``.  General uniform rate r is handled by
+    evaluating at t' = r*t.
     """
     c, Mn, r = _prepare(M, delta)
     _check_tol(tol)
     ts = [float(t) for t in t_grid]
     if delta == 0.0 or not any(ts):
         return np.zeros(len(ts))
-    for K in _lengths(64, MAX_TERMS):
-        hits = hit_exact_steps(Mn, K)
-        if hits.tail_mass < tol:
-            return gap_curve(c, r, ts, [(1.0, hits.probs)])
+    hits = hit_exact_steps(Mn, MAX_TERMS, tol)
+    if hits.tail_mass < tol:
+        return gap_curve(c, r, ts, [(1.0, hits.probs)])
     raise TruncationLimit(
-        f"hit mass {hits.tail_mass:g} is still >= tol={tol!r} after {K} steps (MAX_TERMS={MAX_TERMS})"
+        f"hit mass {hits.tail_mass:g} is still >= tol={tol!r} after {MAX_TERMS} steps (MAX_TERMS={MAX_TERMS})"
     )
 
 

@@ -9,6 +9,7 @@ silently renormalized.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 import operator
@@ -121,6 +122,18 @@ class Ctmc:
         """The reversed jump graph."""
         return graph.csr(self.P.T)
 
+    @cached_property
+    def _goal_form(self) -> Ctmc | None:
+        """:func:`_normal_form`, built on first use; None when it is this
+        chain, which must not hold itself: the cycle would keep its
+        arrays alive past its last reference, until the cycle collector
+        runs."""
+        seen = graph.reach(self.succ, [self.initial])
+        if seen.isdisjoint(self.goal):
+            seen.update(self.goal)
+        form = normalize_goal(self if len(seen) == self.n else restrict(self, sorted(seen)))
+        return None if form is self else form
+
     def goal_state(self) -> int:
         if len(self.goal) != 1:
             raise NoGoalState(f"need exactly one goal state, have {len(self.goal)}")
@@ -166,9 +179,16 @@ def make_ctmc(
     if has_rewards:
         rewards = np.array([float(s[3]) if len(s) > 3 else 0.0 for s in states])
     n = len(ids)
-    P = np.zeros((n, n))
+    # one streamed pass into typed buffers: flat cell and probability; the
+    # first bad entry stops it with the error that indexing P would raise
+    row = {sid: i * n for i, sid in enumerate(ids)}
+    cells, probs = array.array("q"), array.array("d")
     for frm, to, p in transitions:
-        P[idx[frm], idx[to]] += float(p)
+        cells.append(row[frm] + idx[to])
+        probs.append(float(p))
+    # bincount adds repeated entries in input order onto 0.0, as ``+=`` on a
+    # zero matrix does; with no entries it counts in int64
+    P = np.bincount(cells, probs, n * n).astype(float, copy=False).reshape(n, n)
     M = Ctmc(
         ids=ids,
         labels=labels,
@@ -434,11 +454,10 @@ def _normal_form(M: Ctmc) -> Ctmc:
     states reachable from the initial one.  When no goal state is among
     them the goal states are kept too, so that a goal that cannot be
     reached gives the two-state form (initial state ``fail``) and not an
-    empty goal set."""
-    seen = graph.reach(M.succ, [M.initial])
-    if seen.isdisjoint(M.goal):
-        seen.update(M.goal)
-    return normalize_goal(M if len(seen) == M.n else restrict(M, sorted(seen)))
+    empty goal set.  Like the graph indexes it is built once per chain and
+    kept on it, so the analyses of one chain share it."""
+    form = M._goal_form
+    return M if form is None else form
 
 
 # --------------------------------------------------------------------------

@@ -221,11 +221,31 @@ class HitStepDistribution:
         return float(self.probs[n - 1]) if n <= len(self.probs) else 0.0
 
 
-def hit_exact_steps(M: Ctmc, K: int) -> HitStepDistribution:
-    """p_n = (P^n - P^{n-1})[init, g] for n = 1..K on the chain as given (g absorbing)."""
+def hit_exact_steps(M: Ctmc, K: int, tol: float | None = None) -> HitStepDistribution:
+    """p_n = (P^n - P^{n-1})[init, g] for n = 1..K on the chain as given (g absorbing).
+
+    With ``tol`` the series stops early: it tries the lengths L of
+    ``_lengths(64, K)`` in turn and returns p_1..p_L at the first L whose
+    ``tail_mass`` is below ``tol``, and p_1..p_K when none is.  One run of
+    ``_powers`` is extended from length to length and ``reach_prob`` is
+    solved once, after the first length, so every L gives the bits of a
+    call with K = L, in at most K vector-matrix products.
+    """
+    if tol is not None:
+        _check_tol(tol)
     g = M.goal_state()
-    x = np.array([v[g] for v in itertools.islice(_powers(M.P, M.initial), K + 1)])
-    return HitStepDistribution(probs=np.maximum(np.diff(x), 0.0), reach=reach_prob(M))
+    series = _powers(M.P, M.initial)
+    x = np.empty(0)
+    reach = None
+    for L in _lengths(64, K) if tol is not None else [K]:
+        more = L + 1 - len(x)
+        x = np.concatenate([x, np.fromiter((v[g] for v in itertools.islice(series, more)), float, more)])
+        if reach is None:
+            reach = reach_prob(M)
+        hits = HitStepDistribution(probs=np.maximum(np.diff(x), 0.0), reach=reach)
+        if tol is not None and hits.tail_mass < tol:
+            break
+    return hits
 
 
 def expected_hit_steps(M: Ctmc) -> float:

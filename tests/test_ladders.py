@@ -20,7 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
 SCRIPTS = {"scale_relate": "BENCH_relate.json", "scale_strong": "BENCH_strong.json",
-           "scale_simulate": "BENCH_simulate.json", "scale_load": "BENCH_load.json"}
+           "scale_simulate": "BENCH_simulate.json", "scale_load": "BENCH_load.json",
+           "scale_bounds": "BENCH_bounds.json"}
 
 
 def _tool(name: str):

@@ -39,6 +39,7 @@ CALLS = {
     "diff_curve": lambda tol: ctmcbisim.diff_curve(LOOP, 1.5, [1.0], tol),
     "exact_diff_curve": lambda tol: ctmcbisim.exact_diff_curve(LOOP, 0.1, [1.0], tol),
     "exact_diff_series": lambda tol: ctmcbisim.exact_diff_series(LOOP, 0.1, 1.0, tol),
+    "hit_exact_steps": lambda tol: ctmcbisim.hit_exact_steps(LOOP, 64, tol),
     "jordan_bound": lambda tol: ctmcbisim.jordan_bound(LOOP, 0.1, [1.0], tol),
     "markov_curve": lambda tol: ctmcbisim.markov_curve(LOOP, 0.1, [1.0], tol),
     "reward_reach": lambda tol: ctmcbisim.reward_reach(REWARDED, None, 1.0, tol),
