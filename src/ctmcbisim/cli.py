@@ -20,7 +20,7 @@ from . import errors as err
 from .bisim import PairRelation, epsilon_delta_bisim, is_bisimulation, load_relation, relation_to_dict
 from .curves import BoundCurve, time_grid
 from .erlang import (
-    erlang_N_bound,
+    _erlang_N_curve,
     exact_diff_curve,
     markov_curve,
     pareto_region,
@@ -140,7 +140,7 @@ def cmd_bounds(args) -> int:
             elif name == "unif":
                 col = [uniformization_bound(args.eps, args.delta, q, float(t)) for t in grid]
             elif name == "erlangN":
-                col = [erlang_N_bound(q * float(t), args.delta) for t in grid]
+                col = _erlang_N_curve([q * float(t) for t in grid], args.delta)
             elif name == "markov":
                 col = markov_curve(Mn, args.delta, grid, args.tol)
             elif name == "spectral":

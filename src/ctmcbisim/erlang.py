@@ -5,7 +5,9 @@ length-n rate-1 chain and its c-fold acceleration; it equals the
 difference of two Poisson CDFs, which is how it is evaluated (no bare
 factorials).  ``gap_curve`` sums such gaps against step weights over a
 time grid: the exact series here and the acyclic, diagonal and Jordan
-routes in :mod:`spectral` only build their weights.  ``rate_factor`` is
+routes in :mod:`spectral` only build their weights.  The gaps of a whole
+grid come from one table, ``_gap_rows``, cut where the Poisson terms are
+exactly 0; ``erlang_diff_prefix`` is its one-row case.  ``rate_factor`` is
 the one gate a caller's delta passes: it checks delta and returns
 ``e^delta``.  On top of them: the uniformization bound, the Pareto
 tolerance region, the Erlang-N bound, the exact p_n-weighted series,
@@ -17,22 +19,89 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NonUniformRates, NotApplicable, TruncationLimit
 from .model import Ctmc, _normal_form
-from .transient import MAX_TERMS, _check_tol, _lengths, _poisson_pmf, expected_hit_steps, hit_exact_steps
+from .transient import MAX_TERMS, _check_tol, _lengths, expected_hit_steps, hit_exact_steps, log_factorials
 
 
-def _poisson_cdf_prefix(mu: float, kmax: int) -> np.ndarray:
-    """``out[k] = Pr(Poisson(mu) <= k)`` for k = 0..kmax."""
-    if kmax < 0:
-        return np.empty(0)
-    if mu == 0.0:
-        return np.ones(kmax + 1)
-    return np.minimum(np.cumsum(_poisson_pmf(mu, kmax)), 1.0)
+# exp() of a float64 exponent below about -745.13 is exactly 0.0; -800 leaves
+# a margin far wider than the rounding of any pmf exponent
+_ZERO_EXPONENT = -800.0
+# cells of (slow, fast) pmf exponents per table block: rows beyond it go to
+# the next block, so a grid of long rows never holds all of them at once
+_BLOCK_CELLS = 1 << 16
+
+
+def _means(c: float, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The Poisson means ``(t, c t)`` of each t, one row each, and their ``math.log``."""
+    mus = np.array([(t, c * t) for t in ts], dtype=float).reshape(-1, 2)
+    return mus, np.array([math.log(mu) for mu in mus.ravel()]).reshape(mus.shape)
+
+
+def _cut_width(mus: np.ndarray, logs: np.ndarray, n_max: int) -> int:
+    """The narrowest width ``256 * 2^j`` (at most ``n_max``) whose last
+    column lies past the mode of every Poisson mean of ``mus`` and has an
+    exponent at or below ``_ZERO_EXPONENT`` for each."""
+    w = min(256, n_max)
+    while w < n_max:
+        k = w - 1
+        if k > mus.max(initial=0.0) and (k * logs + -mus - log_factorials(k)[k] <= _ZERO_EXPONENT).all():
+            break
+        w = min(2 * w, n_max)
+    return w
+
+
+def _gap_table(mus: np.ndarray, logs: np.ndarray, w: int) -> np.ndarray:
+    """``max(0, Pr(Poisson(t) <= k) - Pr(Poisson(c t) <= k))`` for k < w,
+    one row per row of :func:`_means`.  The pmf terms are
+    ``exp((k ln(mu) + -mu) - lgamma(k+1))``, the operations of
+    :func:`transient._poisson_pmf` in its order, so every cell has its bits."""
+    e = np.arange(w) * logs[:, :, None]
+    e += -mus[:, :, None]
+    e -= log_factorials(w - 1)
+    cdf = np.minimum(np.cumsum(np.exp(e, out=e), axis=2, out=e), 1.0, out=e)
+    gap = cdf[:, 0] - cdf[:, 1]
+    return np.maximum(0.0, gap, out=gap)
+
+
+def _gap_rows(c: float, ts: Sequence[float], n_max: int) -> Iterator[np.ndarray]:
+    """``erlang_diff_prefix(c, t, n_max)`` for each t of ``ts``, in order.
+
+    The Poisson laws of mean t and c t of every row with a finite c t form
+    one table of width ``_cut_width``.  Past that width every pmf exponent
+    only falls, below ``_ZERO_EXPONENT``, so every further pmf term is
+    exactly 0.0: each CDF keeps its last value, and so does the gap, which
+    fills the row out to ``n_max``.  The table is built in blocks of at
+    most ``_BLOCK_CELLS`` cells and each row is yielded on its own, so no
+    table of all rows at full length is ever held.  A row whose c t is
+    infinite (t = inf) is computed alone at full width; it is NaN past
+    ``out[0]``, as the spectral routes expect.
+    """
+    if not 1.0 <= c < math.inf:
+        raise ValueError(f"c (the acceleration factor) must be a finite number >= 1, got {c!r}")
+    for t in ts:
+        if not t >= 0.0:
+            raise ValueError(f"t must be a number >= 0, got {t!r}")
+    if c == 1.0 or n_max <= 0:
+        yield from (np.zeros(n_max + 1) for _ in ts)
+        return
+    mus, logs = _means(c, [t for t in ts if t != 0.0 and c * t < math.inf])
+    w = _cut_width(mus, logs, n_max)
+    step = max(1, _BLOCK_CELLS // (2 * w))
+    rows = itertools.chain.from_iterable(
+        _gap_table(mus[i : i + step], logs[i : i + step], w) for i in range(0, len(mus), step)
+    )
+    for t in ts:
+        out = np.zeros(n_max + 1)
+        if t != 0.0:
+            row = next(rows) if c * t < math.inf else _gap_table(*_means(c, [t]), n_max)[0]
+            out[1 : len(row) + 1] = row
+            out[len(row) + 1 :] = row[-1]
+        yield out
 
 
 def erlang_diff_prefix(c: float, t: float, n_max: int) -> np.ndarray:
@@ -40,17 +109,7 @@ def erlang_diff_prefix(c: float, t: float, n_max: int) -> np.ndarray:
 
     ``t = inf``, the infinite horizon of the bound curves, gives NaN past
     ``out[0]`` unless ``c == 1``; the spectral routes clamp it to 1."""
-    if not 1.0 <= c < math.inf:
-        raise ValueError(f"c (the acceleration factor) must be a finite number >= 1, got {c!r}")
-    if not t >= 0.0:
-        raise ValueError(f"t must be a number >= 0, got {t!r}")
-    out = np.zeros(n_max + 1)
-    if t == 0.0 or c == 1.0 or n_max == 0:
-        return out
-    cdf_slow = _poisson_cdf_prefix(t, n_max - 1)
-    cdf_fast = _poisson_cdf_prefix(c * t, n_max - 1)
-    out[1:] = np.maximum(0.0, cdf_slow - cdf_fast)
-    return out
+    return next(_gap_rows(c, [t], n_max))
 
 
 def gap_curve(c: float, rate: float, t_grid, segments, tail: float = 0.0) -> np.ndarray:
@@ -58,12 +117,12 @@ def gap_curve(c: float, rate: float, t_grid, segments, tail: float = 0.0) -> np.
 
     ``segments`` lists ``(scale, w)`` pairs whose weight vectors cover
     n = 1, 2, ... in order.  Each adds ``scale * (w @ gaps)`` over its
-    stretch of n, left to right, and ``tail`` is added last.
+    stretch of n, left to right, and ``tail`` is added last.  The gaps of
+    all grid times come from one :func:`_gap_rows` table.
     """
     cuts = list(itertools.accumulate((len(w) for _, w in segments), initial=1))
     out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        diffs = erlang_diff_prefix(c, rate * float(t), cuts[-1] - 1)
+    for i, diffs in enumerate(_gap_rows(c, [rate * float(t) for t in t_grid], cuts[-1] - 1)):
         parts = (scale * float(w @ diffs[lo:hi]) for (scale, w), lo, hi in zip(segments, cuts, cuts[1:]))
         out[i] = sum(parts) + tail
     return out
@@ -82,13 +141,18 @@ def rate_factor(delta: float) -> float:
     return c
 
 
-def erlang_diff(n: int, c: float, t: float) -> float:
-    """Exact gap for the length-n chain: sum_{k<n} t^k/k! (e^-t - c^k e^-ct)."""
+def _gap_index(n: int, t: float) -> int:
+    """``n``, once ``n`` and ``t`` are valid arguments of :func:`erlang_diff`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be a finite number >= 0, got {t!r}")
-    return float(erlang_diff_prefix(c, t, n)[n])
+    return n
+
+
+def erlang_diff(n: int, c: float, t: float) -> float:
+    """Exact gap for the length-n chain: sum_{k<n} t^k/k! (e^-t - c^k e^-ct)."""
+    return float(erlang_diff_prefix(c, t, _gap_index(n, t))[n])
 
 
 def erlang_diff_argmax(n: int, c: float) -> float:
@@ -178,10 +242,30 @@ def erlang_N_bound(t: float, delta: float) -> float:
 
     At delta = 0 the gap is identically zero, and 0 is returned.
     """
+    return float(_erlang_N_curve([t], delta)[0])
+
+
+def _erlang_N_curve(ts: list[float], delta: float) -> np.ndarray:
+    """:func:`erlang_N_bound` at every time of ``ts``.
+
+    The chain length N of a time lies below the mode of its fast Poisson
+    law, so no table is cut before N.  Consecutive times share one
+    :func:`_gap_rows` table as long as it stays within ``_BLOCK_CELLS``
+    cells at the width of their largest N; a time whose N alone passes
+    that gets a table of its own width."""
     c = rate_factor(delta)
-    if delta == 0.0 or t == 0.0:
-        return 0.0
-    return erlang_diff(erlang_N(t, delta), c, t)
+    if delta == 0.0:
+        return np.zeros(len(ts))
+    ns = [0 if t == 0.0 else _gap_index(erlang_N(t, delta), t) for t in ts]
+    out = np.zeros(len(ts))
+    i = 0
+    while i < len(ts):
+        j, width = i + 1, ns[i]
+        while j < len(ts) and 2 * (j + 1 - i) * max(width, ns[j]) <= _BLOCK_CELLS:
+            j, width = j + 1, max(width, ns[j])
+        out[i:j] = [row[n] for n, row in zip(ns[i:j], _gap_rows(c, ts[i:j], width))]
+        i = j
+    return out
 
 
 def _uniform_rate(M: Ctmc) -> float:
@@ -243,17 +327,21 @@ def markov_curve(M: Ctmc, delta: float, t_grid: Sequence[float], tol: float = 1e
     ex = expected_hit_steps(Mn)
     if math.isinf(ex):
         raise NotApplicable("expected hitting steps are infinite (fail state reachable)")
-    out = np.zeros(len(t_grid))
+    ts = [float(t) for t in t_grid]
+    out = np.zeros(len(ts))
     if delta == 0.0:
         return out
-    for i, t in enumerate(t_grid):
-        t = float(t)
+    # the first length serves the whole grid from one table; a time whose
+    # tail it leaves too large tries the longer lengths one at a time
+    first, *longer = _lengths(256, MAX_TERMS)
+    teffs = [r * t for t in ts]
+    for i, (t, teff, diffs) in enumerate(zip(ts, teffs, _gap_rows(c, teffs, first))):
         if t == 0.0:
             continue
-        teff = r * t
         total = teff * (c - 1.0)
-        for K in _lengths(256, MAX_TERMS):
-            diffs = erlang_diff_prefix(c, teff, K)
+        for K in (first, *longer):
+            if K != first:
+                diffs = erlang_diff_prefix(c, teff, K)
             partial = float(np.dot(diffs[1:], 1.0 / np.arange(1.0, K + 1.0)))
             tail = max(0.0, total - float(diffs[1:].sum())) / (K + 1.0)
             if ex * tail < tol:

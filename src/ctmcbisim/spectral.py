@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bisim import _joined, split_construction
-from .erlang import _prepare, erlang_N_bound, gap_curve, uniformization_bound
+from .erlang import _erlang_N_curve, _prepare, gap_curve, uniformization_bound
 from .errors import (
     AcyclicChain,
     DecompositionFallbackWarning,
@@ -494,7 +494,7 @@ def combined_bound(
     decomposition.
     """
     c, Mn, rate = _prepare(M, delta)
-    base = np.array([erlang_N_bound(rate * float(t), delta) for t in t_grid])
+    base = _erlang_N_curve([rate * float(t) for t in t_grid], delta)
     try:
         spec = _spectral_from(c, Mn, rate, t_grid, tol) if spectral is None else spectral()
     except NumericalFailure as exc:

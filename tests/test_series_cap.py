@@ -54,8 +54,8 @@ def test_spectral_series_stop_at_the_cap(route, cap):
     # loop mode 0.999: the tail drops below 1e-9 only after about 2e4 terms
     M = fixtures.two_state_loop(0.999)
     with mock.patch.object(spectral, "MAX_TERMS", cap):
-        terms = _calls("erlang_diff_prefix", lambda: route(M, 0.1, [1.0, 50.0]), 2)
-    assert terms == [cap, cap]
+        terms = _calls("_gap_rows", lambda: route(M, 0.1, [1.0, 50.0]), 2)
+    assert terms == [cap]
 
 
 @pytest.mark.parametrize("cap", [256, 1000, 1024])
@@ -65,13 +65,13 @@ def test_jordan_route_raises_when_no_tail_is_certified_by_the_cap(cap):
             spectral.jordan_bound(_jordan_cell(), 0.1, [1.0, 50.0])
 
     with mock.patch.object(spectral, "MAX_TERMS", cap):
-        assert _calls("erlang_diff_prefix", run, 2) == []
+        assert _calls("_gap_rows", run, 2) == []
 
 
 def test_default_cap_keeps_the_doubled_lengths():
     # 256, 512, ...: the ratio test certifies a tail from 16384 on, and that
     # tail falls below 1e-9 at 524288
-    terms = _calls("erlang_diff_prefix", lambda: spectral.jordan_bound(_jordan_cell(), 0.1, [1.0]), 2)
+    terms = _calls("_gap_rows", lambda: spectral.jordan_bound(_jordan_cell(), 0.1, [1.0]), 2)
     assert terms == [524288]
 
 

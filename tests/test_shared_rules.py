@@ -105,7 +105,7 @@ def test_markov_series_stops_at_the_cap(cap):
     M = normalize_goal(prune_unreachable(fixtures.two_state_loop(0.5)))
     # at t' = 1e5 the gaps sit near n = 1e5, so no cap this small certifies the tail
     with mock.patch.object(erlang, "MAX_TERMS", cap):
-        terms = _calls("erlang_diff_prefix", lambda: erlang.markov_curve(M, 0.1, [1e5]), 2)
+        terms = _calls("_gap_rows", lambda: erlang.markov_curve(M, 0.1, [1e5]), 2)
     assert max(terms) == terms[-1] == cap
 
 
