@@ -26,7 +26,7 @@ from .erlang import (
     pareto_region,
     uniformization_bound,
 )
-from .model import _normal_form, direct_sum, load_model, model_to_dict
+from .model import Ctmc, _model_chunks, _normal_form, direct_sum, load_model
 from .pairuniform import uniformize_pair
 from .rewards import _budget_reach, _clock_chain, reward_bound
 from .spectral import (
@@ -53,7 +53,19 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    """``obj`` as the text of ``json.dumps(obj, indent=2)``; a chain among
+    the values of a dict is written by the model writer, as its model text."""
+    if isinstance(obj, dict) and any(isinstance(v, Ctmc) for v in obj.values()):
+        # JSON text holds no raw newline inside a string, so indenting after
+        # each newline nests a value's text one level deeper
+        items = (
+            f"  {json.dumps(k)}: "
+            + ("".join(_model_chunks(v)) if isinstance(v, Ctmc) else json.dumps(v, indent=2)).replace("\n", "\n  ")
+            for k, v in obj.items()
+        )
+        _emit("{\n" + ",\n".join(items) + "\n}\n", out)
+    else:
+        _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
 def _table(names: tuple[str, ...], rows, args) -> None:
@@ -194,8 +206,8 @@ def cmd_pair_uniformize(args) -> int:
         "q_m": res.q_m,
         "q_n": res.q_n,
         "rate_ratio": res.q_n / res.q_m,
-        "model_a": model_to_dict(res.m_uniform),
-        "model_b": model_to_dict(res.n_uniform),
+        "model_a": res.m_uniform,
+        "model_b": res.n_uniform,
         "relation": relation_to_dict(res.relation, joint),
     }
     if notes:

@@ -17,7 +17,7 @@ import re
 import reprlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -558,8 +558,68 @@ def model_to_dict(M: Ctmc) -> dict:
     return d
 
 
+#: a block of transitions reads the rows of P that hold about this many cells
+_BLOCK_CELLS = 1 << 16
+
+
+def _floats_text(values: list) -> list[str]:
+    """json's text of each number of ``values``, from one call of its
+    C encoder: ``repr``, or ``NaN``/``Infinity``/``-Infinity``.  No
+    number's text holds ``", "``, so the list splits there."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _array_text(items: list[str], pad: str) -> str:
+    """json's ``indent=2`` text of an array whose items read ``items``,
+    with ``pad`` before its closing bracket."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if items else "[]"
+
+
+def _model_chunks(M: Ctmc) -> Iterator[str]:
+    """The text of ``json.dumps(model_to_dict(M), indent=2)``, in chunks.
+
+    Each id and label is encoded once by ``json.dumps`` and each number by
+    :func:`_floats_text`; states and transitions are filled into fixed
+    templates.  The transitions are read from P a block of rows at a time,
+    so no list of all its positive entries is ever held."""
+    ids = [json.dumps(s) for s in M.ids]
+    rates = _floats_text(np.asarray(M.E, dtype=float).tolist())
+    if M.rate_exprs is not None:
+        rates = [r if e is None else json.dumps(e) for r, e in zip(rates, M.rate_exprs)]
+    rewards = [""] * M.n if M.rewards is None else [
+        f',\n      "reward": {r}' for r in _floats_text(np.asarray(M.rewards, dtype=float).tolist())
+    ]
+    labels = {ls: _array_text([json.dumps(l) for l in ls], "      ") for ls in set(M.labels)}
+    states = [
+        f'{{\n      "id": {i},\n      "labels": {labels[ls]},\n      "exit_rate": {r}{w}\n    }}'
+        for i, ls, r, w in zip(ids, M.labels, rates, rewards)
+    ]
+    yield '{\n  "states": ' + _array_text(states, "  ") + ',\n  "transitions": '
+    heads = [f'{{\n      "from": {i},\n      "to": ' for i in ids]
+    tails = [f'{i},\n      "prob": ' for i in ids]
+    opened = False
+    step = max(1, _BLOCK_CELLS // M.n)
+    for r0 in range(0, M.n, step):
+        block = M.P[r0 : r0 + step]
+        rows, cols = np.nonzero(block > 0.0)  # row-major, the order of the entries
+        if len(rows):
+            probs = _floats_text(block[rows, cols].tolist())
+            yield (",\n    " if opened else "[\n    ") + ",\n    ".join(
+                [f"{heads[i]}{tails[j]}{p}\n    }}" for i, j, p in zip((rows + r0).tolist(), cols.tolist(), probs)]
+            )
+            opened = True
+    yield ("\n  ]" if opened else "[]") + f',\n  "initial": {ids[M.initial]}'
+    for key, chosen in (("goal", M.goal), ("fail", M.fail)):
+        if chosen:
+            yield f',\n  "{key}": ' + _array_text([ids[s] for s in chosen], "  ")
+    yield "\n}"
+
+
 def dumps_model(M: Ctmc) -> str:
-    return json.dumps(model_to_dict(M), indent=2) + "\n"
+    """The model file text of ``M``: the chunks of :func:`_model_chunks`,
+    the one writer of model JSON, joined, and a final newline."""
+    return "".join(_model_chunks(M)) + "\n"
 
 
 def load_model(path: str) -> Ctmc:
@@ -574,8 +634,8 @@ def load_model(path: str) -> Ctmc:
 
 
 def save_model(M: Ctmc, path: str) -> None:
-    """Write the text of :func:`dumps_model`, streamed in chunks by ``json.dump``
-    rather than joined into one string first."""
+    """Write the text of :func:`dumps_model`, streamed chunk by chunk from
+    :func:`_model_chunks` rather than joined into one string first."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(M), fh, indent=2)
+        fh.writelines(_model_chunks(M))
         fh.write("\n")

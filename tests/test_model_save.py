@@ -1,8 +1,10 @@
 """``save_model`` writes the text of ``dumps_model``, byte for byte.
 
-The writer streams ``json.dump`` into the file instead of joining the whole
-text first; the chains drawn here carry rewards, ``exp()`` rate
-expressions, and ids and labels that the JSON text must escape."""
+``save_model`` streams the writer's chunks into the file instead of joining
+the whole text first; the chains drawn here carry rewards, ``exp()`` rate
+expressions, and ids and labels that the JSON text must escape.  Both read
+one writer, so ``tests/test_model_text.py`` holds them to the text of
+``json.dumps(model_to_dict(M), indent=2)``."""
 
 from __future__ import annotations
 
