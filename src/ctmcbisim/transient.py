@@ -303,6 +303,9 @@ def _wilson(hits: int, n: int, confidence: float) -> tuple[float, float]:
 
 #: the largest float below 1.0
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+#: the guide table is built from blocks of the rows of P that hold about
+#: this many cells
+_TABLE_CELLS = 1 << 16
 
 
 def _guide_table(P: np.ndarray, succ: graph.Index) -> tuple[np.ndarray, ...]:
@@ -315,31 +318,45 @@ def _guide_table(P: np.ndarray, succ: graph.Index) -> tuple[np.ndarray, ...]:
     row is ``inf``.  ``buckets[s]`` is the smallest power of two ``B_s`` >=
     the row's count of positive entries, and ``guide[base[s] + k]`` (k <
     B_s) is the index in ``c`` of the row's first entry that is not below
-    ``k / B_s``.  Every array holds O(nnz) entries.
+    ``k / B_s``; it is int32 when those indexes fit.  Every array holds
+    O(nnz) entries, and the build holds temporaries of one block of
+    ``_TABLE_CELLS`` cells of P at a time.
     """
     indptr, cols = succ
     deg = np.diff(indptr)
-    # over positive columns these are the bits of the dense row's cumsum
-    # (adding 0.0 is exact and cumsum is sequential)
-    c = np.cumsum(P, axis=1)[P > 0.0]
-    # every draw that passes the row's other entries picks its last column,
-    # whether or not it lies above the row's rounded sum
-    c[indptr[1:] - 1] = np.inf
     buckets = np.left_shift(np.intp(1), np.frexp(deg - 1)[1])
     base = np.zeros(len(deg) + 1, dtype=np.intp)
     np.cumsum(buckets, out=base[1:])
-    # an entry of row s counts as below k / B_s from table slot base[s] + k
-    # on, k = floor(c * B_s) + 1 (exact, B_s being a power of two), and from
-    # base[s + 1] on when c >= 1 (the inf too), where clamping c to the float
-    # below 1.0 makes k = B_s; the entries of earlier rows all count from
-    # base[s] on, so the count at slot t is the index guide[t] asks for
-    key = np.minimum(c, _BELOW_ONE)
-    key *= np.repeat(buckets, deg)
-    key = key.astype(np.intp)
-    key += np.repeat(base[:-1] + 1, deg)
-    guide = np.bincount(key, minlength=base[-1] + 1)[:-1]
-    del key
-    np.cumsum(guide, out=guide)
+    c = np.empty(len(cols))
+    guide = np.empty(base[-1], dtype=np.int32 if len(cols) < 2**31 else np.intp)
+    n = len(deg)
+    step = max(1, _TABLE_CELLS // n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        block = P[r0:r1]
+        lo = indptr[r0]
+        # over positive columns these are the bits of the dense row's cumsum
+        # (adding 0.0 is exact and cumsum is sequential)
+        cb = c[lo : indptr[r1]]
+        cb[:] = np.cumsum(block, axis=1)[block > 0.0]
+        # every draw that passes the row's other entries picks its last
+        # column, whether or not it lies above the row's rounded sum
+        cb[indptr[r0 + 1 : r1 + 1] - 1 - lo] = np.inf
+        # an entry of row s counts as below k / B_s from table slot base[s] + k
+        # on, k = floor(c * B_s) + 1 (exact, B_s being a power of two), and
+        # from base[s + 1] on when c >= 1 (the inf too), where clamping c to
+        # the float below 1.0 makes k = B_s; the entries of earlier rows all
+        # count from base[s] on, so the count at slot t is the index guide[t]
+        # asks for.  The block's slots count from its first, base[r0], after
+        # the lo entries of earlier blocks
+        key = np.minimum(cb, _BELOW_ONE)
+        key *= np.repeat(buckets[r0:r1], deg[r0:r1])
+        key = key.astype(np.intp)
+        key += np.repeat(base[r0:r1] + 1 - base[r0], deg[r0:r1])
+        slots = guide[base[r0] : base[r1]]
+        counts = np.bincount(key, minlength=len(slots) + 1)[:-1]
+        counts[0] += lo
+        np.cumsum(counts, out=slots)
     return c, cols, base, buckets, guide
 
 
@@ -360,7 +377,8 @@ def _next_states(table: tuple[np.ndarray, ...], s: np.ndarray, u: np.ndarray) ->
     ``1 + nnz_s / B_s <= 2`` entries in expectation.
     """
     c, cols, base, buckets, guide = table
-    pos = guide[base[s] + (np.minimum(u, _BELOW_ONE) * buckets[s]).astype(np.intp)]
+    # as intp, since every later index with an int32 array converts it again
+    pos = guide[base[s] + (np.minimum(u, _BELOW_ONE) * buckets[s]).astype(np.intp)].astype(np.intp)
     scan = np.flatnonzero(c[pos] < u)
     while scan.size:
         pos[scan] += 1

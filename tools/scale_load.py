@@ -10,7 +10,11 @@ The families take ``bench/gen.py``'s ``uniform_dense`` chain at n = 200,
 PATH:
 
 * ``load``: ``load_model`` of a file that ``gen.write_model`` writes,
-  untimed, into a temporary directory;
+  untimed, into a temporary directory (states, initial, goal and fail,
+  then the transitions);
+* ``loadsaved``: ``load_model`` of the file that ``save_model`` writes,
+  untimed, for the validated chain (indented, the transitions before
+  ``initial``);
 * ``build``: ``model_from_dict`` of that file's document, parsed untimed,
   so the chain builder is timed without the JSON parser;
 * ``save``: ``save_model`` of the validated chain into a temporary
@@ -40,8 +44,8 @@ import tempfile
 import ladder
 
 SEED = 0
-FAMILIES = {"load": (200, 800, 1600), "build": (200, 800, 1600), "save": (200, 800, 1600),
-            "report": (61, 301, 1001)}
+FAMILIES = {"load": (200, 800, 1600), "loadsaved": (200, 800, 1600), "build": (200, 800, 1600),
+            "save": (200, 800, 1600), "report": (61, 301, 1001)}
 
 
 def setup(family: str, n: int):
@@ -86,6 +90,9 @@ def setup(family: str, n: int):
             doc = json.load(fh)
         return lambda: model_from_dict(doc), lambda M: described(model_to_dict(M))
     M = validate(Ctmc(**chain))
+    if family == "loadsaved":
+        save_model(M, path)
+        return lambda: load_model(path), lambda M: described(model_to_dict(M))
 
     def read_back(_) -> tuple[dict, dict]:
         with open(path, encoding="utf-8") as fh:
