@@ -7,7 +7,7 @@ into a normal form: goals merged into one absorbing goal state placed last,
 states that cannot reach it merged into one absorbing fail state.
 """
 
-from ctmcbisim import direct_sum, make_ctmc, normalize_goal, scale
+from ctmcbisim import direct_sum, generator, make_ctmc, normalize_goal, scale
 from ctmcbisim.model import dumps_model
 
 repair = make_ctmc(
@@ -31,6 +31,9 @@ repair = make_ctmc(
 
 print("=== the raw model, as it serializes ===")
 print(dumps_model(repair))
+
+print("=== its generator Q: Q(i,j) = P(i,j) E(i) off the diagonal, rows sum to 0 ===")
+print(generator(repair))
 
 norm = normalize_goal(repair)
 print("=== after goal normalization ===")

@@ -13,6 +13,8 @@ import numpy as np
 
 from ctmcbisim import (
     diff_curve,
+    erlang_diff,
+    erlang_N,
     erlang_N_bound,
     exact_diff_curve,
     fixtures,
@@ -42,6 +44,11 @@ for i, t in enumerate(grid):
     print("  %4.1f   %.6f   %.6f   %.6f   %.6f"
           % (t, curve["exact"][i], curve["unif"][i],
              curve["erlangN"][i], curve["markov"][i]))
+
+t = float(grid[-1])
+N = erlang_N(t, delta)
+print("\nerlangN at t = %.1f is the Erlang gap of a length-%d chain and its"
+      " e^delta-fast twin: %.6f" % (t, N, erlang_diff(N, c, t)))
 
 print("\nthe same table as CSV (17 significant digits):")
 print("\n".join(curve.to_csv().splitlines()[:4]))

@@ -156,9 +156,6 @@ class PairRelation:
         """``adjacency[s]`` is the set of states related to ``s``."""
         return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.matrix)
 
-    def related_to(self, s: int) -> frozenset[int]:
-        return self.adjacency[s]
-
     def off_diagonal(self) -> list[tuple[int, int]]:
         return list(_index_pairs(np.triu(self.matrix, 1)))
 
@@ -393,18 +390,6 @@ class Coupling:
     succ_target: tuple[int, ...]
     weights: np.ndarray
     related_mass: float
-
-    def target_marginal(self, P: np.ndarray) -> np.ndarray:
-        supply = P[self.source, list(self.succ_source)]
-        return supply @ self.weights
-
-    def mass_on(self, P: np.ndarray, related: frozenset[tuple[int, int]]) -> float:
-        total = 0.0
-        for i, a in enumerate(self.succ_source):
-            for j, b in enumerate(self.succ_target):
-                if (a, b) in related:
-                    total += float(P[self.source, a]) * float(self.weights[i, j])
-        return total
 
 
 def extract_coupling(
@@ -899,12 +884,6 @@ def relation_from_dict(d: dict, chain: Ctmc) -> PairRelation:
         pairs.add((chain.index(pair[0]), chain.index(pair[1])))
     eps, delta = _number(d.get("eps", 0.0), "eps"), _number(d.get("delta", 0.0), "delta")
     return PairRelation.from_off_diagonal(pairs, n=len(chain.ids), eps=eps, delta=delta)
-
-
-def save_relation(R: PairRelation, chain: Ctmc, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(relation_to_dict(R, chain), fh, indent=2)
-        fh.write("\n")
 
 
 def load_relation(path: str, chain: Ctmc) -> PairRelation:

@@ -155,23 +155,34 @@ def erlang_diff(n: int, c: float, t: float) -> float:
     return float(erlang_diff_prefix(c, t, _gap_index(n, t))[n])
 
 
-def erlang_diff_argmax(n: int, c: float) -> float:
-    """The global maximizer t* = n ln(c)/(c-1) of erlang_diff(n, c, .)."""
-    if c <= 1.0 or n < 1:
-        raise NotApplicable("argmax needs c > 1 and n >= 1")
-    return n * math.log(c) / (c - 1.0)
+def _product(*factors: float) -> float:
+    """The product of nonnegative factors, 0.0 when one is 0 even if another
+    is infinite.  Mantissas and exponents are multiplied apart, so no
+    partial product rounds to 0 or inf where the whole does not."""
+    if 0.0 in factors:
+        return 0.0
+    mantissa, exponent = 1.0, 0
+    for x in factors:
+        m, e = math.frexp(x)
+        mantissa, exponent = mantissa * m, exponent + e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def uniformization_bound(eps: float, delta: float, q: float, t: float) -> float:
     """Time-uniform bound 1 - e^{-q t (e^delta (1+eps) - 1)}; 0.0 when q t
-    or e^delta (1+eps) - 1 is 0, even if the other factor is infinite."""
+    or e^delta (1+eps) - 1 is 0, even if the other factor is infinite.
+
+    The exponent is summed as ``q t expm1(delta) + q t eps e^delta`` and
+    the bound taken by ``expm1``, so that a small eps or exponent keeps its
+    digits."""
     if not (eps >= 0.0 and q >= 0.0 and t >= 0.0) or delta < 0.0:
         raise ValueError("eps, delta, q, t must all be nonnegative")
-    qt = 0.0 if q == 0.0 or t == 0.0 else q * t  # inf * 0 is NaN
-    growth = rate_factor(delta) * (1.0 + eps) - 1.0
-    if qt == 0.0 or growth == 0.0:
-        return 0.0
-    return 1.0 - math.exp(-qt * growth)
+    c = rate_factor(delta)
+    x = _product(q, t, math.expm1(delta)) + _product(q, t, eps, c)
+    return -math.expm1(-x) if x else 0.0
 
 
 @dataclass(frozen=True)
@@ -229,6 +240,8 @@ def pareto_region(theta: float, q: float, t: float) -> ParetoRegion:
 def erlang_N(t: float, delta: float) -> int:
     if delta <= 0.0:
         raise NotApplicable("the Erlang-N bound needs delta > 0")
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
     length = (rate_factor(delta) - 1.0) * t / delta
     if not length <= MAX_TERMS:
         raise ValueError(

@@ -141,10 +141,6 @@ class NotAcyclic(CtmcError):
 # ---------------------------------------------------------------- rewards
 
 
-class NonzeroReward(CtmcError):
-    pass
-
-
 class AbsorbingState(CtmcError):
     pass
 

@@ -430,12 +430,6 @@ def uniformize(M: Ctmc, q: float | None = None) -> Ctmc:
     return replace(M, P=Pb, E=np.full(M.n, q), rate_exprs=None)
 
 
-def embedded_dtmc(M: Ctmc) -> Ctmc:
-    """The jump chain: M's jump probabilities, labels and initial state,
-    with unit rates and no rewards."""
-    return replace(M, E=np.ones(M.n), rewards=None, rate_exprs=None)
-
-
 def generator(M: Ctmc) -> np.ndarray:
     """Rate matrix Q: off-diagonal ``P(i,j)*E(i)``, diagonal the negated row sum."""
     Q = M.P * M.E[:, None]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import graph
 from .erlang import uniformization_bound
-from .errors import AbsorbingState, NonzeroReward, ZeroReward, ZeroRewardCycle
+from .errors import AbsorbingState, ZeroReward, ZeroRewardCycle
 from .model import Ctmc, _absorbing_states, _normal_form, restrict
 from .transient import timed_reach
 
@@ -39,22 +39,6 @@ def _drop_self_loop(P: np.ndarray, E: np.ndarray, z: int) -> None:
     P[z] = P[z] / (1.0 - loop)
     P[z, z] = 0.0
     E[z] = E[z] * (1.0 - loop)
-
-
-def remove_zero_reward_self_loop(M: Ctmc, s: int | str) -> Ctmc:
-    """Drop the self-loop of zero-reward state s, preserving the law.
-    No-op when there is no loop."""
-    rewards = _require_rewards(M)
-    idx = M.index(s)
-    if rewards[idx] != 0.0:
-        raise NonzeroReward(f"state {M.ids[idx]} has reward {rewards[idx]}")
-    if M.P[idx, idx] == 0.0:
-        return M
-    if _absorbing_states(M.P)[idx]:
-        raise AbsorbingState(f"state {M.ids[idx]} cannot leave its self-loop")
-    P, E = M.P.copy(), M.E.copy()
-    _drop_self_loop(P, E, idx)
-    return replace(M, P=P, E=E, rate_exprs=None)
 
 
 def eliminate_zero_reward_states(M: Ctmc) -> Ctmc:

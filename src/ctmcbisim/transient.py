@@ -4,9 +4,9 @@ The workhorse is the subordinated-Poisson series
 ``pi_t = sum_k e^{-qt} (qt)^k / k! * init * Pbar^k`` with right
 truncation once the accumulated Poisson mass reaches ``1 - tol``.  One
 generator, ``_powers``, yields ``init * Pbar^k`` for every series here,
-and a time grid shares one run of it.  On top of it: timed and
-step-bounded reachability, exact-step hitting probabilities ``p_n``,
-expected hitting steps, ground-truth acceleration-error curves, and a
+and a time grid shares one run of it.  On top of it: timed
+reachability, exact-step hitting probabilities ``p_n``, expected
+hitting steps, ground-truth acceleration-error curves, and a
 seeded Monte Carlo cross-check.
 """
 
@@ -24,8 +24,6 @@ from . import graph
 from .errors import JumpBudgetExceeded, NonUniformRates
 from .model import Ctmc, _absorbing_states, scale, uniformize
 
-DEFAULT_TRUNCATION_ERROR = 1e-10
-
 #: truncation-depth cap shared by the series of the package (Poisson
 #: weights, hit-step distributions, the Erlang and spectral tails)
 MAX_TERMS = 1 << 22
@@ -42,23 +40,12 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
+def _check_tol(tol: float) -> None:
     """The one range of a truncation or reconstruction tolerance: (0, 1).
     Every series and decomposition of the package reads it before its
     first term, the ``--tol`` option of the CLI included."""
     if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be positive and below 1, got {name}={tol!r}")
-
-
-@dataclass(frozen=True)
-class TransientQuery:
-    start: int | None = None
-    horizon: float = 0.0
-    truncation_error: float = DEFAULT_TRUNCATION_ERROR
-
-    def __post_init__(self):
-        _check_horizon(self.horizon)
-        _check_tol(self.truncation_error, "truncation_error")
+        raise ValueError(f"tol must be positive and below 1, got tol={tol!r}")
 
 
 # ln k! for k = 0..len-1.  Growing replaces the whole array and never writes
@@ -137,28 +124,22 @@ def _powers(P: np.ndarray, start: int) -> Iterator[np.ndarray]:
         v = v @ P
 
 
-def transient_distribution(M: Ctmc, query: TransientQuery) -> np.ndarray:
-    """State distribution at the query horizon, truncation error < tol."""
-    start = M.initial if query.start is None else query.start
-    q = M.max_rate()
-    D = uniformize(M, q)
-    w = poisson_weights(q * query.horizon, query.truncation_error)
-    return sum(wk * v for wk, v in zip(w, _powers(D.P, start)))
-
-
 def _timed_curve(M: Ctmc, s: int | str | None, t_grid: Sequence[float], tol: float) -> np.ndarray:
     """Pr(in the goal state at t) from s at every grid time.
 
-    TransientQuery checks each t; one goal series, as deep as the largest t
-    needs, serves the grid, and each t sums its weights over it in index
-    order, which gives the bits of a series run for that t alone."""
+    One goal series, as deep as the largest t needs, serves the grid, and
+    each t sums its weights over it in index order, which gives the bits of
+    a series run for that t alone."""
     ts = [float(t) for t in t_grid]
     if not ts:
         return np.empty(0)
     g = M.goal_state()
     start = M.initial if s is None else M.index(s)
     q = M.max_rate()
-    weights = [poisson_weights(q * TransientQuery(start, t, tol).horizon, tol) for t in ts]
+    for t in ts:
+        _check_horizon(t)
+    _check_tol(tol)
+    weights = [poisson_weights(q * t, tol) for t in ts]
     series = itertools.islice(_powers(uniformize(M, q).P, start), max(map(len, weights)))
     x = np.array([v[g] for v in series])
     return np.array([np.cumsum(w * x[: len(w)])[-1] for w in weights])
@@ -172,13 +153,6 @@ def timed_reach(M: Ctmc, s: int | str | None, t: float, tol: float = 1e-9) -> fl
 
 def timed_reach_curve(M: Ctmc, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     return _timed_curve(M, None, t_grid, tol)
-
-
-def step_reach(D: Ctmc, s: int | str | None, k: int) -> float:
-    """``(P^k)[s, g]`` by iterated vector-matrix products."""
-    g = D.goal_state()
-    start = D.initial if s is None else D.index(s)
-    return float(next(itertools.islice(_powers(D.P, start), k, None))[g])
 
 
 def _absorption_solve(M: Ctmc, T: list[int], b: np.ndarray) -> float:

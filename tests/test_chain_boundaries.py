@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ctmcbisim import Ctmc, direct_sum, embedded_dtmc, fixtures, load_model, save_model, uniformize
+from ctmcbisim import Ctmc, direct_sum, fixtures, load_model, save_model, uniformize
 from ctmcbisim.bisim import relation_from_dict
 from ctmcbisim.cli import main
 from ctmcbisim.errors import NonpositiveRate, RowSumError
@@ -166,15 +166,6 @@ def test_uniformize_returns_chain_with_rewards():
     assert np.array_equal(U.E, np.full(M.n, 5.0))
     assert np.array_equal(U.rewards, M.rewards)
     assert (U.ids, U.labels, U.initial, U.goal, U.fail) == (M.ids, M.labels, M.initial, M.goal, M.fail)
-
-
-def test_embedded_chain_has_unit_rates_and_no_rewards():
-    M = fixtures.rewarded_tandem()
-    D = embedded_dtmc(M)
-    assert isinstance(D, Ctmc)
-    assert np.array_equal(D.P, M.P)
-    assert np.array_equal(D.E, np.ones(M.n))
-    assert D.rewards is None
 
 
 def test_index_by_id_or_position():

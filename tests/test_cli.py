@@ -13,9 +13,9 @@ from ctmcbisim import (
     fixtures,
     make_ctmc,
     save_model,
-    save_relation,
     scale,
 )
+from ctmcbisim.bisim import relation_to_dict
 from ctmcbisim.cli import main
 from ctmcbisim.curves import BoundCurve
 
@@ -294,7 +294,7 @@ def test_pair_uniformize_accepts_relation_file(capsys, tmp_path):
     a, b, pa, pb = _scaled_branch_pair(tmp_path)
     joint = direct_sum(a, b)
     rel = tmp_path / "rel.json"
-    save_relation(epsilon_delta_bisim(joint, 0.0, 0.1), joint, str(rel))
+    rel.write_text(json.dumps(relation_to_dict(epsilon_delta_bisim(joint, 0.0, 0.1), joint)))
     rc, out, _ = _run(
         capsys,
         ["pair-uniformize", "-m", pa, "--model-b", pb,
@@ -314,7 +314,7 @@ def test_pair_uniformize_rejects_relation_that_fails_recheck(capsys, tmp_path, l
     joint = direct_sum(a, b)
     bogus = PairRelation.from_off_diagonal([(0, 2)], joint.n, 0.0, 0.1)
     rel = tmp_path / "bogus.json"
-    save_relation(bogus, joint, str(rel))
+    rel.write_text(json.dumps(relation_to_dict(bogus, joint)))
     rc, out, err = _run(
         capsys,
         ["pair-uniformize", "-m", pa, "--model-b", pb,

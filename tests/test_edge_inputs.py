@@ -3,7 +3,9 @@
 - A NaN or negative tolerance, rate or horizon is rejected, not turned
   into a NaN result or a vacuous True.
 - A time-uniform bound with a zero factor in its exponent is 0.0, even
-  when the other factor is infinite.
+  when the other factor is infinite; any other is within a few ulps of a
+  50-digit evaluation of its formula, for an eps far below the rounding
+  error of 1 + eps and an exponent whose factors underflow or overflow.
 - A uniform draw above the rounded sum of a jump-matrix row goes to that
   row's last positive column, and a draw of 0.0 to its first positive
   column, never to a state the row cannot reach.
@@ -12,6 +14,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -57,20 +60,42 @@ def test_a_zero_factor_of_the_exponent_gives_a_zero_bound(eps, delta, q, t):
     assert uniformization_bound(eps, delta, q, t) == 0.0
 
 
-def test_finite_bounds_keep_their_bits():
-    def old(eps, delta, q, t):
-        return 1.0 - math.exp(-q * t * (math.exp(delta) * (1.0 + eps) - 1.0))
+def _expm1(x: Decimal) -> Decimal:
+    """e^x - 1 to the context's precision, by its series when |x| < 1,
+    where ``x.exp() - 1`` would cancel."""
+    if abs(x) >= 1:
+        return x.exp() - 1
+    total, term, k = Decimal(0), x, 1
+    while term and abs(term) >= abs(total).scaleb(-60):
+        total += term
+        k += 1
+        term = term * x / k
+    return total
 
+
+def _decimal_bound(eps: float, delta: float, q: float, t: float) -> Decimal:
+    """1 - e^{-q t (e^delta (1+eps) - 1)} in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        growth = _expm1(Decimal(delta))
+        growth += Decimal(eps) * (1 + growth)
+        return -_expm1(-(Decimal(q) * Decimal(t) * growth))
+
+
+def test_finite_bounds_match_a_50_digit_evaluation():
     grid = [0.0, 1e-300, 1e-9, 0.05, 0.1, 1.0, 3.7, 1e3, 1e300]
-    for eps in grid:
-        for delta in [0.0, 1e-12, 0.1, 1.0, 50.0]:
-            for q in grid:
-                for t in grid:
-                    got, want = uniformization_bound(eps, delta, q, t), old(eps, delta, q, t)
-                    if math.isnan(want):  # one factor is 0, the other overflowed
-                        assert got == 0.0 and 0.0 in (q * t, math.exp(delta) * (1.0 + eps) - 1.0)
-                    else:
-                        assert got.hex() == want.hex(), (eps, delta, q, t)
+    for bound in (uniformization_bound, reward_bound):
+        for eps in grid:
+            for delta in [0.0, 1e-12, 0.1, 1.0, 50.0]:
+                for q in grid:
+                    for t in grid:
+                        got, want = bound(eps, delta, q, t), _decimal_bound(eps, delta, q, t)
+                        if want == 0:  # q t or e^delta (1+eps) - 1 is 0
+                            assert got == 0.0 and (0.0 in (q, t) or eps == delta == 0.0)
+                        else:
+                            # a few ulps, or one ulp of a subnormal result
+                            assert math.isclose(got, float(want), rel_tol=4e-15, abs_tol=2**-1074), (eps, delta, q, t)
+    assert uniformization_bound(1e-17, 0.0, 1e6, 1e6) == pytest.approx(9.99995e-06, rel=1e-6)
 
 
 # ---------------------------------------------------------------- the draw

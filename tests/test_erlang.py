@@ -11,7 +11,6 @@ from ctmcbisim import (
     erlang_N,
     erlang_N_bound,
     erlang_diff,
-    erlang_diff_argmax,
     erlang_diff_prefix,
     exact_diff_series,
     fixtures,
@@ -82,36 +81,6 @@ def test_erlang_diff_sums_to_identity():
     c, t = 1.2, 2.0
     total = erlang_diff_prefix(c, t, 4000).sum()
     assert total == pytest.approx(t * (c - 1.0), abs=1e-12)
-
-
-# ---------------------------------------------------------------- argmax
-
-
-def test_argmax_formula_and_frozen_peaks():
-    assert erlang_diff_argmax(1, 1.2) == pytest.approx(0.9116077839697732, abs=1e-15)
-    assert erlang_diff(1, 1.2, erlang_diff_argmax(1, 1.2)) == pytest.approx(
-        0.06697959533607681, abs=2e-15
-    )
-    c = math.exp(0.1)
-    assert erlang_diff_argmax(5, c) == pytest.approx(4.754165972387524, abs=1e-12)
-    assert erlang_diff(5, c, erlang_diff_argmax(5, c)) == pytest.approx(
-        0.08755126373539929, abs=2e-15
-    )
-
-
-def test_argmax_is_a_maximum():
-    n, c = 7, 1.4
-    ts = erlang_diff_argmax(n, c)
-    peak = erlang_diff(n, c, ts)
-    for t in np.linspace(0.01, 5 * ts, 200):
-        assert erlang_diff(n, c, float(t)) <= peak + 1e-15
-
-
-def test_argmax_not_applicable():
-    with pytest.raises(NotApplicable):
-        erlang_diff_argmax(3, 1.0)
-    with pytest.raises(NotApplicable):
-        erlang_diff_argmax(0, 1.5)
 
 
 # ---------------------------------------------------------------- uniformization bound
@@ -202,6 +171,9 @@ def test_erlang_N_hand_values():
     assert erlang_N(10.0, 0.01) == math.ceil((math.exp(0.01) - 1.0) * 10.0 / 0.01)
     with pytest.raises(NotApplicable):
         erlang_N(1.0, 0.0)
+    for fn in (erlang_N, erlang_N_bound):
+        with pytest.raises(ValueError, match="^t must be nonnegative, got -1.0$"):
+            fn(-1.0, 0.1)
 
 
 def test_erlang_N_bound_is_diff_at_N():

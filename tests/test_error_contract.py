@@ -46,7 +46,6 @@ EXIT_CODES = {
     errors.AcyclicChain: 3,
     errors.NotAcyclic: 2,
     # rewards
-    errors.NonzeroReward: 2,
     errors.AbsorbingState: 2,
     errors.ZeroRewardCycle: 2,
     errors.ZeroReward: 2,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ctmcbisim import (
     Ctmc,
     direct_sum,
-    embedded_dtmc,
     fixtures,
     generator,
     load_model,
@@ -211,10 +210,8 @@ def test_uniformize_rate_gate():
         uniformize(M, 1.0)  # max rate is 2
 
 
-def test_embedded_and_generator():
+def test_generator_rows_sum_to_zero():
     M = two_plus_sink()
-    D = embedded_dtmc(M)
-    assert np.array_equal(D.P, M.P)
     Q = generator(M)
     assert np.allclose(Q.sum(axis=1), 0.0)
     assert np.allclose(np.diag(Q), -M.E * (1.0 - np.diag(M.P)))

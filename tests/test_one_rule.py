@@ -21,7 +21,7 @@ import pytest
 import ctmcbisim
 from ctmcbisim import fixtures, pareto_region, spectral, transient
 from ctmcbisim.cli import main
-from ctmcbisim.transient import TransientQuery, poisson_weights
+from ctmcbisim.transient import poisson_weights
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctmcbisim"
 
@@ -50,7 +50,6 @@ CALLS = {
     "timed_reach_curve": lambda tol: ctmcbisim.timed_reach_curve(LOOP, [1.0], tol),
     "poisson_weights": lambda tol: poisson_weights(2.0, tol),
     "poisson_weights at mu 0": lambda tol: poisson_weights(0.0, tol),
-    "TransientQuery": lambda tol: TransientQuery(0, 1.0, tol),
 }
 
 BAD_TOLS = [0.0, -1.0, 1.0, math.inf, math.nan]
@@ -64,7 +63,7 @@ def test_the_table_names_every_public_routine_with_a_tol():
         and not inspect.isclass(obj)
         and "tol" in inspect.signature(obj).parameters
     }
-    assert with_tol | {"poisson_weights", "TransientQuery"} == {key.split(" ")[0] for key in CALLS}
+    assert with_tol | {"poisson_weights"} == {key.split(" ")[0] for key in CALLS}
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from ctmcbisim import direct_sum, epsilon_delta_bisim, fixtures, save_model, save_relation, scale
+from ctmcbisim import direct_sum, epsilon_delta_bisim, fixtures, save_model, scale
 from ctmcbisim.bisim import load_relation, relation_to_dict
 from ctmcbisim.cli import main
 from ctmcbisim.errors import OrderingAssumptionViolated
@@ -55,9 +55,9 @@ def _pair(tmp_path, swapped: bool, with_relation: bool) -> tuple[str, str, str |
     rel = None
     if with_relation:
         joint = direct_sum(a, b)
-        rel = str(tmp_path / "rel.json")
-        save_relation(epsilon_delta_bisim(joint, 0.0, DELTA), joint, rel)
-    return str(pa), str(pb), rel
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps(relation_to_dict(epsilon_delta_bisim(joint, 0.0, DELTA), joint)))
+    return str(pa), str(pb), None if rel is None else str(rel)
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["ordered", "swapped"])

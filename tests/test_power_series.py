@@ -13,7 +13,7 @@ raise the same error.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from ctmcbisim import (
 )
 from ctmcbisim.errors import CtmcError, NonUniformRates
 from ctmcbisim.pairuniform import ORDERING_GRID, uniformize_pair
-from ctmcbisim.transient import HitStepDistribution, TransientQuery, poisson_weights, reach_prob
+from ctmcbisim.transient import HitStepDistribution, _check_horizon, _check_tol, poisson_weights, reach_prob
 
 from helpers import (
     random_bisimilar_pair,
@@ -46,6 +46,20 @@ from helpers import (
 )
 
 # ---------------------------------------------------------------- oracles
+
+
+@dataclass(frozen=True)
+class TransientQuery:
+    """The query the oracle ``transient_distribution`` reads; it checks its
+    horizon and its truncation error on construction."""
+
+    start: int | None
+    horizon: float
+    truncation_error: float
+
+    def __post_init__(self):
+        _check_horizon(self.horizon)
+        _check_tol(self.truncation_error)
 
 
 def transient_distribution(M: Ctmc, query: TransientQuery) -> np.ndarray:
@@ -74,17 +88,6 @@ def timed_reach(M: Ctmc, s: int | str | None, t: float, tol: float = 1e-9) -> fl
 
 def timed_reach_curve(M: Ctmc, t_grid: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     return np.array([timed_reach(M, None, float(t), tol) for t in t_grid])
-
-
-def step_reach(D: Ctmc, s: int | str | None, k: int) -> float:
-    """``(P^k)[s, g]`` by iterated vector-matrix products."""
-    g = D.goal_state()
-    start = D.initial if s is None else D.index(s)
-    v = np.zeros(D.P.shape[0])
-    v[start] = 1.0
-    for _ in range(k):
-        v = v @ D.P
-    return float(v[g])
 
 
 def hit_exact_steps(M: Ctmc, K: int) -> HitStepDistribution:
@@ -236,20 +239,6 @@ def test_timed_reach_matches(M, t, tol, pick, by_id):
     _same(timed_reach, transient.timed_reach, M, _start(M, pick, by_id), t, tol)
 
 
-@settings(max_examples=80, deadline=None)
-@given(chains, times, tols, starts)
-def test_transient_distribution_matches(M, t, tol, pick):
-    query = TransientQuery(start=_start(M, pick, by_id=False), horizon=t, truncation_error=tol)
-    _same(transient_distribution, transient.transient_distribution, M, query)
-
-
-@settings(max_examples=100, deadline=None)
-@given(chains, st.integers(0, 80), starts, st.booleans(), st.booleans())
-def test_step_reach_matches(M, k, pick, by_id, uniformized):
-    D = uniformize(M) if uniformized else M
-    _same(step_reach, transient.step_reach, D, _start(M, pick, by_id), k)
-
-
 @settings(max_examples=100, deadline=None)
 @given(chains, st.one_of(st.integers(0, 80), st.sampled_from([0, 1, 500])), st.booleans())
 def test_hit_exact_steps_matches(M, K, normalized):
@@ -283,11 +272,8 @@ def test_empty_grid_needs_no_goal():
 
 
 def test_negative_step_counts():
-    # the oracle step_reach read k < 0 as k = 0, and the oracle
-    # hit_exact_steps raised for K = -1, which now gives no steps
+    # the oracle hit_exact_steps raised for K = -1, which now gives no steps
     M = random_uniform_chain(np.random.default_rng(5))
-    with pytest.raises(ValueError):
-        transient.step_reach(M, None, -1)
     with pytest.raises(ValueError):
         transient.hit_exact_steps(M, -2)
     assert transient.hit_exact_steps(M, -1).probs.shape == (0,)

@@ -9,14 +9,13 @@ from ctmcbisim import (
     fixtures,
     hat_transform,
     make_ctmc,
-    remove_zero_reward_self_loop,
     reward_bound,
     reward_reach,
     simulate_paths,
     timed_reach,
     uniformization_bound,
 )
-from ctmcbisim.errors import AbsorbingState, NonzeroReward, ZeroReward, ZeroRewardCycle
+from ctmcbisim.errors import AbsorbingState, ZeroReward, ZeroRewardCycle
 
 from helpers import random_rewarded_chain
 
@@ -34,39 +33,6 @@ def unit_reward_copy(M):
         goal=tuple(M.ids[g] for g in M.goal),
         fail=tuple(M.ids[f] for f in M.fail),
     )
-
-
-# ---------------------------------------------------------------- self-loop removal
-
-
-def test_loop_removal_preserves_law():
-    M = fixtures.rewarded_tandem()
-    out = remove_zero_reward_self_loop(M, "z")
-    z = M.index("z")
-    assert out.P[z, z] == 0.0
-    assert out.E[z] == pytest.approx(M.E[z] * (1.0 - M.P[z, z]), abs=1e-15)
-    assert np.allclose(out.P.sum(axis=1), 1.0, atol=1e-12)
-    # thinning leaves every timed quantity unchanged
-    for t in (0.5, 2.0, 7.0):
-        assert timed_reach(out, None, t, tol=1e-11) == pytest.approx(
-            timed_reach(M, None, t, tol=1e-11), abs=1e-10
-        )
-
-
-def test_loop_removal_guards():
-    M = fixtures.rewarded_tandem()
-    with pytest.raises(NonzeroReward):
-        remove_zero_reward_self_loop(M, "s0")
-    with pytest.raises(AbsorbingState):
-        remove_zero_reward_self_loop(M, "f")  # absorbing, reward 0
-    # no loop -> the very same object comes back
-    out = remove_zero_reward_self_loop(M, "z")
-    assert remove_zero_reward_self_loop(out, "z") is out
-
-
-def test_loop_removal_needs_rewards():
-    with pytest.raises(ValueError):
-        remove_zero_reward_self_loop(fixtures.branch_merge_chain(), 0)
 
 
 # ---------------------------------------------------------------- elimination

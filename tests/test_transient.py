@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 from ctmcbisim import (
     diff_curve,
-    embedded_dtmc,
     expected_hit_steps,
     fixtures,
     hit_exact_steps,
     normalize_goal,
     reach_prob,
     simulate_paths,
-    step_reach,
     timed_reach,
     timed_reach_curve,
 )
 from ctmcbisim.errors import CtmcError, JumpBudgetExceeded, NonUniformRates
-from ctmcbisim.transient import TransientQuery, poisson_weights, transient_distribution
+from ctmcbisim.transient import poisson_weights
 
 from helpers import random_uniform_chain
 
@@ -129,30 +127,18 @@ def test_poisson_weights_degenerate():
         poisson_weights(-1.0, 1e-9)
 
 
-def test_transient_distribution_is_distribution():
-    M = fixtures.branch_merge_chain()
-    pi = transient_distribution(M, TransientQuery(horizon=2.0, truncation_error=1e-12))
-    assert pi.shape == (M.n,)
-    assert np.all(pi >= 0.0)
-    assert pi.sum() == pytest.approx(1.0, abs=1e-11)
-
-
 def test_transient_query_validation():
-    with pytest.raises(ValueError):
-        TransientQuery(horizon=-1.0)
-    with pytest.raises(ValueError):
-        TransientQuery(horizon=1.0, truncation_error=0.0)
+    # every grid time and the truncation error are checked before the series
+    M = fixtures.branch_merge_chain()
+    with pytest.raises(ValueError, match="^horizon must be finite and nonnegative, got -1.0$"):
+        timed_reach(M, None, -1.0)
+    with pytest.raises(ValueError, match="^horizon must be finite and nonnegative, got inf$"):
+        timed_reach_curve(M, [1.0, 2.0, math.inf])
+    with pytest.raises(ValueError, match="^tol must be positive and below 1, got tol=0.0$"):
+        timed_reach(M, None, 1.0, tol=0.0)
 
 
 # ---------------------------------------------------------------- embedded steps
-
-
-def test_step_reach_matches_matrix_power():
-    M = fixtures.branch_merge_chain()
-    g = M.goal_state()
-    for k in range(6):
-        expect = float(np.linalg.matrix_power(M.P, k)[M.initial, g])
-        assert step_reach(M, None, k) == pytest.approx(expect, abs=1e-14)
 
 
 def test_hit_exact_steps_branch_values():
