@@ -57,8 +57,6 @@ from .model import Ctmc, _expect, _number, direct_sum
 
 FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
-#: most cells of one temporary of the rate test, the class-mass bound and the pair deciders
-FILTER_CELLS = 1 << 16
 #: most successors of each row of a pair whose flow ``_decide`` reads off its cuts
 ENUM_DEGREE = 4
 
@@ -452,9 +450,8 @@ def _initial_related(M: Ctmc, delta: float) -> np.ndarray:
     ok = label[:, None] == label[None, :]
     # the rate test by blocks of rows, with no n x n float temporary; a NaN
     # rate gap is not > delta, so it separates no pair (as in is_bisimulation)
-    step = max(1, FILTER_CELLS // M.n)
-    for i in range(0, M.n, step):
-        ok[i : i + step] &= ~(np.abs(lnE[i : i + step, None] - lnE) > delta + DELTA_SLACK)
+    for b in graph.blocks(M.n, M.n):
+        ok[b] &= ~(np.abs(lnE[b, None] - lnE) > delta + DELTA_SLACK)
     if M.rewards is not None:
         ok &= M.rewards[:, None] == M.rewards[None, :]
     return ok
@@ -503,15 +500,14 @@ def _mass_rejects(P: np.ndarray, related: np.ndarray, todo: np.ndarray, cut: flo
     """For each pair of ``todo``, whether its class-mass bound over the
     connected components of ``related`` is below ``cut``: such a pair
     fails its flow check in both orientations.  The pairs x classes
-    temporaries hold at most ``FILTER_CELLS`` cells each."""
+    temporaries hold at most ``graph.BLOCK_CELLS`` cells each."""
     label = graph.components(graph.csr(related))
     onehot = (label[:, None] == np.arange(label.max() + 1)).astype(float)
     mass = P @ onehot
     out = np.empty(len(todo), dtype=bool)
-    step = max(1, FILTER_CELLS // onehot.shape[1])
-    for i in range(0, len(todo), step):
-        s, t = todo[i : i + step].T
-        out[i : i + step] = np.minimum(mass[s], mass[t]).sum(axis=1) < cut
+    for b in graph.blocks(len(todo), onehot.shape[1]):
+        s, t = todo[b].T
+        out[b] = np.minimum(mass[s], mass[t]).sum(axis=1) < cut
     return out
 
 
@@ -543,7 +539,7 @@ def _decide(M: Ctmc, related: np.ndarray, threshold: tuple[int, int], pairs: np.
       ``related`` is reflexive.
 
     Every pairs x subsets and pairs x states temporary holds at most
-    ``FILTER_CELLS`` cells (at least one pair's).
+    ``graph.BLOCK_CELLS`` cells (at least one pair's).
     """
     D = ENUM_DEGREE
     indptr, indices = M.succ
@@ -562,9 +558,8 @@ def _decide(M: Ctmc, related: np.ndarray, threshold: tuple[int, int], pairs: np.
     # subsets[a, i]: 1 when subset a holds the i-th successor, that is bit i of a
     subsets = np.arange(1 << D)[:, None] >> np.arange(D) & 1
     below, above = _cutoff(threshold, 2 * D), _cutoff(threshold, 2 * D, above=True)
-    step = max(1, FILTER_CELLS // (1 << D))
-    for i in range(0, len(pairs), step):
-        k = i + np.flatnonzero(low[i : i + step])
+    for chunk in graph.blocks(len(pairs), 1 << D):
+        k = chunk.start + np.flatnonzero(low[chunk])
         a, b = s[k], t[k]
         rel = related[succ[a][:, :, None], succ[b][:, None, :]]
         st = _least_cut(prob[a], prob[b], rel, subsets)
@@ -572,10 +567,10 @@ def _decide(M: Ctmc, related: np.ndarray, threshold: tuple[int, int], pairs: np.
         passes[k] = (st >= above) & (ts >= above)
         fails[k] = (st < below) | (ts < below)
     if related.diagonal().all():  # else the diagonal coupling may ship along an unrelated pair
-        above, step = _cutoff(threshold, M.n, above=True), max(1, FILTER_CELLS // M.n)
+        above = _cutoff(threshold, M.n, above=True)
         diag = np.flatnonzero(~low)
-        for i in range(0, len(diag), step):
-            k = diag[i : i + step]
+        for chunk in graph.blocks(len(diag), M.n):
+            k = diag[chunk]
             passes[k] = np.minimum(M.P[s[k]], M.P[t[k]]).sum(axis=1) >= above
     return passes, fails
 

@@ -23,17 +23,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import graph
 from .errors import NonUniformRates, NotApplicable, TruncationLimit
 from .model import Ctmc, _normal_form
-from .transient import MAX_TERMS, _check_tol, _lengths, expected_hit_steps, hit_exact_steps, log_factorials
+from .transient import MAX_TERMS, _check_tol, _lengths, _log_pmf, expected_hit_steps, hit_exact_steps
 
 
 # exp() of a float64 exponent below about -745.13 is exactly 0.0; -800 leaves
 # a margin far wider than the rounding of any pmf exponent
 _ZERO_EXPONENT = -800.0
-# cells of (slow, fast) pmf exponents per table block: rows beyond it go to
-# the next block, so a grid of long rows never holds all of them at once
-_BLOCK_CELLS = 1 << 16
 
 
 def _means(c: float, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -46,23 +44,18 @@ def _cut_width(mus: np.ndarray, logs: np.ndarray, n_max: int) -> int:
     """The narrowest width ``256 * 2^j`` (at most ``n_max``) whose last
     column lies past the mode of every Poisson mean of ``mus`` and has an
     exponent at or below ``_ZERO_EXPONENT`` for each."""
-    w = min(256, n_max)
-    while w < n_max:
-        k = w - 1
-        if k > mus.max(initial=0.0) and (k * logs + -mus - log_factorials(k)[k] <= _ZERO_EXPONENT).all():
-            break
-        w = min(2 * w, n_max)
-    return w
+    for w in _lengths(256, n_max)[:-1]:
+        if w - 1 > mus.max(initial=0.0) and (_log_pmf(w - 1, mus, logs) <= _ZERO_EXPONENT).all():
+            return w
+    return n_max
 
 
 def _gap_table(mus: np.ndarray, logs: np.ndarray, w: int) -> np.ndarray:
     """``max(0, Pr(Poisson(t) <= k) - Pr(Poisson(c t) <= k))`` for k < w,
-    one row per row of :func:`_means`.  The pmf terms are
-    ``exp((k ln(mu) + -mu) - lgamma(k+1))``, the operations of
-    :func:`transient._poisson_pmf` in its order, so every cell has its bits."""
-    e = np.arange(w) * logs[:, :, None]
-    e += -mus[:, :, None]
-    e -= log_factorials(w - 1)
+    one row per row of :func:`_means`.  The pmf terms are the ``exp`` of
+    :func:`transient._log_pmf`, as in :func:`transient._poisson_pmf`, so
+    every cell has its bits."""
+    e = _log_pmf(np.arange(w), mus[:, :, None], logs[:, :, None])
     cdf = np.minimum(np.cumsum(np.exp(e, out=e), axis=2, out=e), 1.0, out=e)
     gap = cdf[:, 0] - cdf[:, 1]
     return np.maximum(0.0, gap, out=gap)
@@ -76,7 +69,7 @@ def _gap_rows(c: float, ts: Sequence[float], n_max: int) -> Iterator[np.ndarray]
     only falls, below ``_ZERO_EXPONENT``, so every further pmf term is
     exactly 0.0: each CDF keeps its last value, and so does the gap, which
     fills the row out to ``n_max``.  The table is built in blocks of at
-    most ``_BLOCK_CELLS`` cells and each row is yielded on its own, so no
+    most ``graph.BLOCK_CELLS`` cells and each row is yielded on its own, so no
     table of all rows at full length is ever held.  A row whose c t is
     infinite (t = inf) is computed alone at full width; it is NaN past
     ``out[0]``, as the spectral routes expect.
@@ -91,10 +84,7 @@ def _gap_rows(c: float, ts: Sequence[float], n_max: int) -> Iterator[np.ndarray]
         return
     mus, logs = _means(c, [t for t in ts if t != 0.0 and c * t < math.inf])
     w = _cut_width(mus, logs, n_max)
-    step = max(1, _BLOCK_CELLS // (2 * w))
-    rows = itertools.chain.from_iterable(
-        _gap_table(mus[i : i + step], logs[i : i + step], w) for i in range(0, len(mus), step)
-    )
+    rows = itertools.chain.from_iterable(_gap_table(mus[b], logs[b], w) for b in graph.blocks(len(mus), 2 * w))
     for t in ts:
         out = np.zeros(n_max + 1)
         if t != 0.0:
@@ -263,18 +253,21 @@ def _erlang_N_curve(ts: list[float], delta: float) -> np.ndarray:
 
     The chain length N of a time lies below the mode of its fast Poisson
     law, so no table is cut before N.  Consecutive times share one
-    :func:`_gap_rows` table as long as it stays within ``_BLOCK_CELLS``
+    :func:`_gap_rows` table as long as it stays within ``graph.BLOCK_CELLS``
     cells at the width of their largest N; a time whose N alone passes
     that gets a table of its own width."""
     c = rate_factor(delta)
     if delta == 0.0:
+        for t in ts:
+            if not t >= 0.0:
+                raise ValueError(f"t must be nonnegative, got {t!r}")
         return np.zeros(len(ts))
     ns = [0 if t == 0.0 else _gap_index(erlang_N(t, delta), t) for t in ts]
     out = np.zeros(len(ts))
     i = 0
     while i < len(ts):
         j, width = i + 1, ns[i]
-        while j < len(ts) and 2 * (j + 1 - i) * max(width, ns[j]) <= _BLOCK_CELLS:
+        while j < len(ts) and 2 * (j + 1 - i) * max(width, ns[j]) <= graph.BLOCK_CELLS:
             j, width = j + 1, max(width, ns[j])
         out[i:j] = [row[n] for n, row in zip(ns[i:j], _gap_rows(c, ts[i:j], width))]
         i = j

@@ -1,5 +1,5 @@
 """Reachability, connected components and cycle search on the positive
-entries of a matrix.
+entries of a matrix, and the block budget of every blocked array pass.
 
 Graphs are given as a compressed sparse row index ``(indptr, indices)``:
 the neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]``, in
@@ -10,15 +10,29 @@ matrix, and ``csr`` of it is the relation's graph.  ``components`` returns
 a label array, the package's one form of a grouping of states: it gives
 the classes of each sweep's class-mass bound and of ``bisim.PairRelation``
 and the clusters of nearby eigenvalues in ``spectral.decompose``.
+
+Every blocked array pass of the package walks its rows in ``blocks``, so
+that no temporary holds more than ``BLOCK_CELLS`` cells (one row's at least).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 Index = tuple[np.ndarray, np.ndarray]
+
+#: most cells of one temporary of a blocked array pass
+BLOCK_CELLS = 1 << 16
+
+
+def blocks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)``, ``max(1, BLOCK_CELLS // width)``
+    items each but the last: the blocks of rows ``width`` cells wide of a pass."""
+    step = max(1, BLOCK_CELLS // width)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def csr(A: np.ndarray) -> Index:

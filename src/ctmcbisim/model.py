@@ -590,10 +590,6 @@ def model_to_dict(M: Ctmc) -> dict:
     return d
 
 
-#: a block of transitions reads the rows of P that hold about this many cells
-_BLOCK_CELLS = 1 << 16
-
-
 def _floats_text(values: list) -> list[str]:
     """json's text of each number of ``values``, from one call of its
     C encoder: ``repr``, or ``NaN``/``Infinity``/``-Infinity``.  No
@@ -631,14 +627,13 @@ def _model_chunks(M: Ctmc) -> Iterator[str]:
     heads = [f'{{\n      "from": {i},\n      "to": ' for i in ids]
     tails = [f'{i},\n      "prob": ' for i in ids]
     opened = False
-    step = max(1, _BLOCK_CELLS // M.n)
-    for r0 in range(0, M.n, step):
-        block = M.P[r0 : r0 + step]
+    for b in graph.blocks(M.n, M.n):
+        block = M.P[b]
         rows, cols = np.nonzero(block > 0.0)  # row-major, the order of the entries
         if len(rows):
             probs = _floats_text(block[rows, cols].tolist())
             yield (",\n    " if opened else "[\n    ") + ",\n    ".join(
-                [f"{heads[i]}{tails[j]}{p}\n    }}" for i, j, p in zip((rows + r0).tolist(), cols.tolist(), probs)]
+                [f"{heads[i]}{tails[j]}{p}\n    }}" for i, j, p in zip((rows + b.start).tolist(), cols.tolist(), probs)]
             )
             opened = True
     yield ("\n  ]" if opened else "[]") + f',\n  "initial": {ids[M.initial]}'

@@ -73,9 +73,14 @@ def log_factorials(kmax: int) -> np.ndarray:
     return table[: kmax + 1]
 
 
+def _log_pmf(k, mu, log_mu):
+    """``k ln(mu) + -mu - lgamma(k+1)``, the Poisson(mu) pmf's exponent at k, broadcast."""
+    return k * log_mu + -mu - log_factorials(np.max(k))[k]
+
+
 def _poisson_pmf(mu: float, K: int) -> np.ndarray:
-    """``exp(-mu + k ln(mu) - lgamma(k+1))`` for k = 0..K (mu > 0)."""
-    return np.exp(-mu + np.arange(K + 1) * math.log(mu) - log_factorials(K))
+    """``exp(k ln(mu) + -mu - lgamma(k+1))`` for k = 0..K (mu > 0)."""
+    return np.exp(_log_pmf(np.arange(K + 1), mu, math.log(mu)))
 
 
 def poisson_weights(mu: float, tol: float) -> np.ndarray:
@@ -277,9 +282,6 @@ def _wilson(hits: int, n: int, confidence: float) -> tuple[float, float]:
 
 #: the largest float below 1.0
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-#: the guide table is built from blocks of the rows of P that hold about
-#: this many cells
-_TABLE_CELLS = 1 << 16
 
 
 def _guide_table(P: np.ndarray, succ: graph.Index) -> tuple[np.ndarray, ...]:
@@ -294,7 +296,7 @@ def _guide_table(P: np.ndarray, succ: graph.Index) -> tuple[np.ndarray, ...]:
     B_s) is the index in ``c`` of the row's first entry that is not below
     ``k / B_s``; it is int32 when those indexes fit.  Every array holds
     O(nnz) entries, and the build holds temporaries of one block of
-    ``_TABLE_CELLS`` cells of P at a time.
+    ``graph.BLOCK_CELLS`` cells of P at a time.
     """
     indptr, cols = succ
     deg = np.diff(indptr)
@@ -303,11 +305,9 @@ def _guide_table(P: np.ndarray, succ: graph.Index) -> tuple[np.ndarray, ...]:
     np.cumsum(buckets, out=base[1:])
     c = np.empty(len(cols))
     guide = np.empty(base[-1], dtype=np.int32 if len(cols) < 2**31 else np.intp)
-    n = len(deg)
-    step = max(1, _TABLE_CELLS // n)
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
-        block = P[r0:r1]
+    for b in graph.blocks(len(deg), len(deg)):
+        r0, r1 = b.start, b.stop
+        block = P[b]
         lo = indptr[r0]
         # over positive columns these are the bits of the dense row's cumsum
         # (adding 0.0 is exact and cumsum is sequential)
@@ -418,7 +418,8 @@ def simulate_paths(
             raise JumpBudgetExceeded(max_jumps)
         idx = np.flatnonzero(active)
         s = state[idx]
-        sojourn = rng.exponential(1.0, idx.size) / M.E[s]
+        with np.errstate(over="ignore"):  # a subnormal rate's sojourn is rightly inf
+            sojourn = rng.exponential(1.0, idx.size) / M.E[s]
         clock[idx] += weights[s] * sojourn
         expired = clock[idx] > horizon
         active[idx[expired]] = False

@@ -25,8 +25,10 @@ from ctmcbisim import model
 def _old_matrix(ids, transitions) -> np.ndarray:
     idx = {sid: i for i, sid in enumerate(ids)}
     P = np.zeros((len(ids), len(ids)))
-    for frm, to, p in transitions:
-        P[idx[frm], idx[to]] += float(p)
+    # a sum that overflows to inf or meets inf - inf gives the value bincount gives, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for frm, to, p in transitions:
+            P[idx[frm], idx[to]] += float(p)
     return P
 
 

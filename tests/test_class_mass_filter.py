@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmcbisim import bisim, direct_sum, epsilon_delta_bisim
+from ctmcbisim import bisim, direct_sum, epsilon_delta_bisim, graph
 from ctmcbisim.bisim import FLOW_ETA, _max_flow, _row, _threshold
 from ctmcbisim.model import Ctmc
 
@@ -217,7 +217,7 @@ def test_replicated_block_chains_sweep_like_the_oracle(seed, eps):
 
 
 def test_small_chunks_sweep_like_the_oracle(monkeypatch):
-    monkeypatch.setattr(bisim, "FILTER_CELLS", 3)
+    monkeypatch.setattr(graph, "BLOCK_CELLS", 3)
     for seed in range(2):
         M = replicated_blocks(np.random.default_rng(seed), 6, 3, 0.1, 0.1)
         for eps in (0.0, 0.1):

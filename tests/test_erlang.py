@@ -176,6 +176,14 @@ def test_erlang_N_hand_values():
             fn(-1.0, 0.1)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_erlang_N_bound_rejects_a_bad_time_at_every_delta(t, delta):
+    # at delta 0 the gap is 0 for every valid time, but not for a bad one
+    with pytest.raises(ValueError, match=f"t(=| must be nonnegative, got ){t!r}"):
+        erlang_N_bound(t, delta)
+
+
 def test_erlang_N_bound_is_diff_at_N():
     t, delta = 7.0, 0.2
     expect = erlang_diff(erlang_N(t, delta), math.exp(delta), t)

@@ -6,22 +6,25 @@ cut at the first doubled width past which every term is exactly 0.0.  The
 oracle below is the one-time gap as it was before the table, two Poisson
 CDFs over the whole series length, copied verbatim; every row must give
 its bytes.  A memory gate checks that no table of all rows at full length
-is built.
+is built, and no block budget changes a bit of a row or a curve.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmcbisim import time_grid
-from ctmcbisim.erlang import _erlang_N_curve, _gap_rows, erlang_N, gap_curve
+from ctmcbisim import graph, time_grid
+from ctmcbisim.erlang import _erlang_N_curve, _gap_rows, erlang_N, gap_curve, markov_curve
 from ctmcbisim.transient import _poisson_pmf
+
+from helpers import random_uniform_chain
 
 # ---------------------------------------------------------------- oracle
 
@@ -114,6 +117,34 @@ def test_the_erlang_N_grid_reads_each_length_from_the_one_time_gap(ts):
     delta = 0.1
     want = [0.0 if t == 0.0 else erlang_diff_prefix(math.exp(delta), t, erlang_N(t, delta))[-1] for t in ts]
     assert _erlang_N_curve(ts, delta).tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------- block budget
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    delta=st.sampled_from([0.01, 0.1, 0.5]),
+    ts=st.lists(st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0.5, 300.0)), min_size=1, max_size=8),
+    n_max=st.integers(1, 3000),
+    seed=st.integers(0, 1_000),
+)
+def test_no_block_budget_changes_a_bit(delta, ts, n_max, seed):
+    # a budget of 1 or 3 cells puts each row of a table, and each time of
+    # the Erlang-N grid, in a block of its own
+    c, M = math.exp(delta), random_uniform_chain(np.random.default_rng(seed))
+    calls = {
+        "_gap_rows": lambda: np.array(list(_gap_rows(c, ts, n_max))),
+        "gap_curve": lambda: gap_curve(c, 1.5, ts, [(0.5, np.full(n_max, 1.0 / n_max))], 0.25),
+        "_erlang_N_curve": lambda: _erlang_N_curve(ts, delta),
+        "markov_curve": lambda: markov_curve(M, delta, ts),
+    }
+    for name, call in calls.items():
+        got = []
+        for cells in (1, 3, 1 << 16):
+            with mock.patch.object(graph, "BLOCK_CELLS", cells):
+                got.append(call().tobytes())
+        assert got[0] == got[1] == got[2] == call().tobytes(), name
 
 
 # ---------------------------------------------------------------- memory

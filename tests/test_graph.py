@@ -5,8 +5,12 @@ graph: backward reachability in ``normalize_goal``, forward reachability
 in ``prune_unreachable``, ``expected_hit_steps`` and ``reach_prob``, the
 acyclicity test of the spectral route and the zero-reward cycle check.
 The oracles below are those walks as they were; on generated chains the
-new module must return the same sets and the same verdicts.
+new module must return the same sets and the same verdicts.  ``graph.blocks``,
+the one walk of every blocked array pass, must cover its range in order in
+steps of the block budget.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -269,3 +273,24 @@ def test_self_loop_flag():
     assert graph.find_cycle(index, [True, False]) == (0, 0)
     assert graph.find_cycle(index, [True, False], self_loops=False) is None
 
+
+
+# ---------------------------------------------------------------- blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(0, 2000), width=st.integers(1, 1 << 18), cells=st.sampled_from((1, 3, 1 << 16)))
+def test_blocks_cover_the_range_in_steps_of_the_budget(count, width, cells):
+    with mock.patch.object(graph, "BLOCK_CELLS", cells):
+        got = list(graph.blocks(count, width))
+    step = max(1, cells // width)
+    assert got == [slice(start, min(start + step, count)) for start in range(0, count, step)]
+    assert [i for b in got for i in range(count)[b]] == list(range(count))
+
+
+def test_blocks_at_the_edges_of_the_budget():
+    cells = graph.BLOCK_CELLS
+    assert list(graph.blocks(0, 1)) == []
+    assert list(graph.blocks(3, cells + 1)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(graph.blocks(5, cells // 2)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+    assert list(graph.blocks(cells + 1, 1)) == [slice(0, cells), slice(cells, cells + 1)]

@@ -64,7 +64,7 @@ def _chain(kind: str, seed: int):
 @given(seed=st.integers(0, 3_000), kind=st.sampled_from(sorted(FAMILIES)))
 def test_blocks_build_the_one_pass_table(cells, seed, kind):
     M = _chain(kind, seed)
-    with mock.patch.object(transient, "_TABLE_CELLS", cells):
+    with mock.patch.object(graph, "BLOCK_CELLS", cells):
         got = transient._guide_table(M.P, M.succ)
     want = _guide_table_oracle(M.P, M.succ)
     for a, b in zip(got[:4], want[:4]):
@@ -78,5 +78,5 @@ def test_blocks_build_the_one_pass_table(cells, seed, kind):
 def test_blocks_keep_the_seeded_results(cells, seed, kind):
     M = _chain(kind, seed)
     want = simulate_paths(M, 500, 3.0, seed)
-    with mock.patch.object(transient, "_TABLE_CELLS", cells):
+    with mock.patch.object(graph, "BLOCK_CELLS", cells):
         assert simulate_paths(M, 500, 3.0, seed) == want

@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmcbisim import fixtures, model
+from ctmcbisim import fixtures, graph
 from ctmcbisim.cli import _json
 from ctmcbisim.model import Ctmc, dumps_model, model_from_dict, model_to_dict, save_model
 
@@ -81,10 +81,10 @@ def _file_chains(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(M=_file_chains(), block_cells=st.sampled_from((1, 3, model._BLOCK_CELLS)))
+@given(M=_file_chains(), block_cells=st.sampled_from((1, 3, graph.BLOCK_CELLS)))
 def test_saved_and_dumped_text_is_json_of_model_to_dict(M, block_cells):
     # a small block size splits these chains into a block per row or so
-    with mock.patch.object(model, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(graph, "BLOCK_CELLS", block_cells):
         _assert_writes_the_oracle(M)
 
 
@@ -107,7 +107,7 @@ def test_non_finite_numbers_are_spelled_as_json_spells_them(data, n):
     # Ctmc does not validate on construction, so any float can reach the writer
     number = st.one_of(st.floats(), st.sampled_from((np.inf, -np.inf, np.nan, -0.0, 0.0, 1.0)))
     M = _unvalidated(data.draw, n, number)
-    with mock.patch.object(model, "_BLOCK_CELLS", data.draw(st.sampled_from((1, model._BLOCK_CELLS)))):
+    with mock.patch.object(graph, "BLOCK_CELLS", data.draw(st.sampled_from((1, graph.BLOCK_CELLS)))):
         _assert_writes_the_oracle(M)
 
 
@@ -128,7 +128,7 @@ def test_chain_larger_than_one_block():
     P[200:, 0] += 1e-3
     P[200:] /= P[200:].sum(axis=1, keepdims=True)
     M = Ctmc(ids=tuple(f"s{i}" for i in range(n)), labels=((),) * n, P=P, E=np.exp(rng.normal(size=n)), initial=0)
-    assert model._BLOCK_CELLS // n < n
+    assert graph.BLOCK_CELLS // n < n
     _assert_writes_the_oracle(M)
 
 

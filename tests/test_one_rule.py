@@ -1,6 +1,8 @@
 """One rule per decision: ``transient._check_tol`` is the only statement of
-the ``tol`` range, and ``ParetoRegion.contains`` the only admissibility
-test of an (eps, delta) pair.
+the ``tol`` range, ``ParetoRegion.contains`` the only admissibility
+test of an (eps, delta) pair, ``graph.BLOCK_CELLS`` the only block budget
+of an array pass, with ``graph.blocks`` its only block step, and
+``transient`` the only reader of ``log_factorials``.
 
 Every public routine with a ``tol`` rejects a tolerance outside (0, 1)
 before it decomposes a matrix or takes a series term; every frontier point
@@ -159,3 +161,50 @@ def test_only_transient_states_the_tol_range():
 
     stating = [path.name for path in sorted(PACKAGE.glob("*.py")) if _compares(path, is_tol, is_end)]
     assert stating == ["transient.py"]
+
+
+def _block_rules(source: str) -> list[int]:
+    """Lines of ``source`` that bind a ``*CELLS`` name or compute a block
+    step ``max(1, a // b)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id.endswith("CELLS"):
+            found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "max"
+            and any(isinstance(arg, ast.Constant) and arg.value == 1 for arg in node.args)
+            and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.FloorDiv) for arg in node.args)
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_graph_states_the_block_budget():
+    stating = [path.name for path in sorted(PACKAGE.glob("*.py")) if _block_rules(path.read_text(encoding="utf-8"))]
+    assert stating == ["graph.py"]
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("FILTER_CELLS = 1 << 16\n", [1]),
+        ("x = 1\nfor i in range(0, n, max(1, _BLOCK_CELLS // n)):\n    pass\n", [2]),
+        ("step = max(n // 2, 1)\n", [1]),
+        ("scale = max(1.0, abs(r))\nw = max(256, n // 2)\nCELLS_USED = None\n", []),
+    ],
+)
+def test_the_block_gate_sees_a_budget_or_a_step(source, lines):
+    assert _block_rules(source) == lines
+
+
+def test_only_transient_reads_log_factorials():
+    def reads(path):
+        return any(
+            getattr(node, "id", getattr(node, "attr", None)) == "log_factorials"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    assert [path.name for path in sorted(PACKAGE.glob("*.py")) if reads(path)] == ["transient.py"]

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmcbisim import bisim
+from ctmcbisim import bisim, graph
 from ctmcbisim.bisim import ENUM_DEGREE, FLOW_ETA, _max_flow, _row, _threshold
 from ctmcbisim.model import Ctmc
 
@@ -154,7 +154,7 @@ def test_drawn_chains_sweep_like_the_oracle(seed, n, dyadic, eps, eta):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), dyadic=st.booleans(), eps=EPS)
 def test_single_pair_chunks_sweep_like_the_oracle(seed, n, dyadic, eps):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bisim, "FILTER_CELLS", 3)
+        mp.setattr(graph, "BLOCK_CELLS", 3)
         _assert_same_fixpoint(_drawn_chain(seed, n, dyadic), eps, 0.0)
 
 

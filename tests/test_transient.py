@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ctmcbisim import (
     expected_hit_steps,
     fixtures,
     hit_exact_steps,
+    make_ctmc,
     normalize_goal,
     reach_prob,
     simulate_paths,
@@ -277,6 +279,24 @@ def test_simulate_deterministic_under_seed():
     assert a == b
     c = simulate_paths(M, 5_000, 4.0, seed=124)
     assert c.hits != a.hits or c.estimate == a.estimate
+
+
+def test_simulate_a_subnormal_rate_without_a_warning():
+    # the sojourn on "slow" overflows to inf, the right value, and that path
+    # never reaches the goal; numpy's overflow warning must not leak
+    M = make_ctmc(
+        [("start", (), 1.0), ("slow", (), 1e-310), ("goal", ("goal",), 1.0)],
+        [("start", "slow", 0.5), ("start", "goal", 0.5), ("slow", "goal", 1.0), ("goal", "goal", 1.0)],
+        "start",
+        goal=["goal"],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = simulate_paths(M, 1_000, 50.0, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert simulate_paths(M, 1_000, 50.0, seed=7) == want
+    assert 0 < want.hits < 1_000 and want.contains(0.5)
 
 
 def test_simulate_jump_budget_raises_a_library_error():
