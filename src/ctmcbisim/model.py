@@ -164,8 +164,8 @@ def make_ctmc(
 
     ``states`` holds ``(id, labels, exit_rate)`` or
     ``(id, labels, exit_rate, reward)`` tuples; ``transitions`` holds
-    ``(from_id, to_id, prob)``; repeated ones add up, omitted ones are
-    zero.  Goal and fail states are not checked, everything else is.
+    ``(from_id, to_id, prob)`` with a number, not a str or bool, as prob;
+    repeated ones add up, omitted ones are zero.  Goal and fail states are not checked, everything else is.
     :func:`load_model` builds its chains here too, through the same
     :class:`_ChainBuilder`.
     """
@@ -195,19 +195,22 @@ class _ChainBuilder:
         self.cells, self.probs = array.array("q"), array.array("d")
 
     def add(self, transitions: Iterable[tuple[str, str, float]]) -> None:
-        """One streamed pass into typed buffers: flat cell and probability;
-        the first bad entry stops it with the error that indexing P would
-        raise."""
+        """One streamed pass into typed buffers: flat cell and probability.
+        The first bad entry stops it: an unknown id raises KeyError, and a
+        probability that is not a number, a bool among them, TypeError."""
         cells, probs, row, idx = self.cells, self.probs, self.row, self.idx
         for frm, to, p in transitions:
             cells.append(row[frm] + idx[to])
-            probs.append(float(p))
+            if p.__class__ is bool:
+                raise TypeError("a probability must be a number, not a bool")
+            probs.append(p)
 
     def chain(self, initial: str, goal: Sequence[str], fail: Sequence[str]) -> Ctmc:
         n = len(self.ids)
         # bincount adds repeated entries in input order onto 0.0, as ``+=``
         # on a zero matrix does; with no entries it counts in int64
         P = np.bincount(self.cells, self.probs, n * n).astype(float, copy=False).reshape(n, n)
+        del self.cells, self.probs  # freed before the checks below allocate theirs
         idx = self.idx
         M = Ctmc(
             ids=self.ids,
@@ -518,12 +521,15 @@ def _parse_rate(value, where: str) -> tuple[float, str | None]:
 
 #: the ``make_ctmc`` transition of a model file's transition entry
 _ENTRY = operator.itemgetter("from", "to", "prob")
+_BAD_ENTRY = "transitions: each entry must be an object with string 'from' and 'to' and a numeric 'prob'"
 
 
 def _state_rows(d: dict) -> tuple[list[tuple], tuple[str | None, ...]]:
     """The ``make_ctmc`` rows of the document's states and their textual
     rates, after the type checks of :func:`model_from_dict`."""
     states = _expect(_expect(d, dict, "model").get("states"), list, "states")
+    if not states:
+        raise ValueError("states must hold at least one state")
     for k, s in enumerate(states):
         _expect(s, dict, f"states[{k}]")
         _expect(s.get("id"), str, f"states[{k}].id")
@@ -538,13 +544,16 @@ def _state_rows(d: dict) -> tuple[list[tuple], tuple[str | None, ...]]:
     return rows, exprs
 
 
-def _marks(d: dict) -> tuple[str, list[str], list[str]]:
-    """The document's initial state and goal and fail lists, type-checked."""
-    return (
-        _expect(d.get("initial"), str, "initial"),
-        _names(d.get("goal", []), "goal"),
-        _names(d.get("fail", []), "fail"),
-    )
+def _marks(d: dict, idx: dict) -> tuple[str, list[str], list[str]]:
+    """The document's initial state and goal and fail lists, type-checked;
+    a name that is no key of ``idx`` raises ValueError naming its field."""
+    initial = _expect(d.get("initial"), str, "initial")
+    goal, fail = _names(d.get("goal", []), "goal"), _names(d.get("fail", []), "fail")
+    for where, names in (("initial", [initial]), ("goal", goal), ("fail", fail)):
+        for name in names:
+            if name not in idx:
+                raise ValueError(f"{where}: unknown state id {name!r}")
+    return initial, goal, fail
 
 
 def _with_exprs(M: Ctmc, exprs: tuple[str | None, ...]) -> Ctmc:
@@ -552,18 +561,25 @@ def _with_exprs(M: Ctmc, exprs: tuple[str | None, ...]) -> Ctmc:
 
 
 def model_from_dict(d: dict) -> Ctmc:
-    """Chain from the parsed JSON model format, built by :func:`make_ctmc`;
-    a value of the wrong JSON type raises ValueError naming its field."""
+    """Chain from the parsed JSON model format, built by the builder of
+    :func:`make_ctmc`; a value of the wrong JSON type or an unknown state
+    id raises ValueError naming its field."""
     rows, exprs = _state_rows(d)
     transitions = _expect(d.get("transitions", []), list, "transitions")
+    build = _ChainBuilder(rows)
     try:
         # streamed: a model file may hold far more transitions than states
-        M = make_ctmc(rows, map(_ENTRY, transitions), *_marks(d))
+        build.add(map(_ENTRY, transitions))
+    except KeyError:
+        k = len(build.cells)  # the bad entry: every one before it added a cell
+        tr = transitions[k]
+        if all(f in tr for f in ("from", "to", "prob")):
+            f = "from" if tr["from"] not in build.idx else "to"
+            raise ValueError(f"transitions[{k}].{f}: unknown state id {tr[f]!r}") from None
+        raise ValueError(_BAD_ENTRY) from None
     except (TypeError, OverflowError):
-        raise ValueError(
-            "transitions: each entry must be an object with string 'from' and 'to' and a numeric 'prob'"
-        ) from None
-    return _with_exprs(M, exprs)
+        raise ValueError(_BAD_ENTRY) from None
+    return _with_exprs(build.chain(*_marks(d, build.idx)), exprs)
 
 
 def model_to_dict(M: Ctmc) -> dict:
@@ -649,87 +665,142 @@ def dumps_model(M: Ctmc) -> str:
     return "".join(_model_chunks(M)) + "\n"
 
 
-#: the streamed reader decodes the transitions array in chunks of at least
-#: this many characters
-_CHUNK_CHARS = 1 << 20
+#: the streamed reader reads its file, and decodes the transitions array,
+#: in pieces of at least this many characters
+_CHUNK_CHARS = 1 << 16
 #: where a chunk may end: the close of an entry and the comma after it
 _CUT = re.compile(r"\}[ \t\n\r]*,")
 _WS = json.decoder.WHITESPACE.match
 _DECODER = json.JSONDecoder()
+#: what may follow the part of a number that a piece ends in; "" is the
+#: end of the piece
+_NUMBER_GOES_ON = ("", *"+-.0123456789Ee")
 
 
-def _streamed_entries(text: str, pos: int, build: _ChainBuilder) -> int:
-    """Pass the transitions array that opens at ``text[pos]`` into
-    ``build`` a chunk at a time; returns the position after the array.
+class _Pieces:
+    """The text of an open file that is not consumed yet, ``text[pos:]``,
+    read ``_CHUNK_CHARS`` characters at a time."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.pos = fh, "", 0
+
+    def more(self) -> bool:
+        """Drop the consumed text and read at least as much again as is
+        left, so that the retries on one long value read geometrically
+        more; False, and nothing changed, at the end of the file."""
+        got = self.fh.read(max(_CHUNK_CHARS, len(self.text) - self.pos))
+        if got:
+            self.text, self.pos = self.text[self.pos :] + got, 0
+        return bool(got)
+
+    def char(self) -> str:
+        """The next character past whitespace, or "" at the end of the file."""
+        while True:
+            self.pos = _WS(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.more():
+                return self.text[self.pos : self.pos + 1]
+
+    def scan(self, scan):
+        """The value that ``scan(text, pos)`` decodes at ``pos``, which
+        then moves past it.  A value counts only once a character follows
+        it that no number goes on with, or the file has ended, so that no
+        number is cut at the end of a piece (``1`` of ``1.5``, ``2`` of
+        ``2e-3``); until then, and while the scan fails, more is read, and
+        a scan that fails at the end of the file raises."""
+        while True:
+            try:
+                value, end = scan(self.text, self.pos)
+            except (ValueError, StopIteration):
+                if not self.more():
+                    raise
+                continue
+            if self.text[end : end + 1] not in _NUMBER_GOES_ON or not self.more():
+                self.pos = end
+                return value
+
+
+def _rest_of_array(text: str, pos: int) -> tuple[list, int]:
+    """The entries from ``text[pos]`` to the close of the array, decoded as
+    a copy behind an opening bracket, and the position after the close."""
+    entries, end = _DECODER.raw_decode("[" + text[pos:])
+    return entries, pos + end - 1
+
+
+def _streamed_entries(src: _Pieces, build: _ChainBuilder) -> None:
+    """Pass the transitions array that opens at the next character of
+    ``src`` into ``build`` a chunk at a time, and move past the array.
 
     A chunk ends at the first entry close and comma past ``_CHUNK_CHARS``
     characters and is decoded as an array of its own.  Only an object ends
     in ``}``, so a chunk that decodes holds whole entries, the ones the
     whole text holds.  The last chunk, and one whose cut fell inside a
-    string, is decoded together with the rest of the array: in place when
-    it is the whole array, else as a copy behind an opening bracket."""
-    if text[pos] != "[":
+    string, is decoded together with the rest of the array."""
+    if src.char() != "[":
         raise ValueError("transitions is not an array")
-    start = pos + 1
-    while cut := _CUT.search(text, start + _CHUNK_CHARS):
+    src.pos += 1
+    chunked = False
+    while True:
+        cut = _CUT.search(src.text, src.pos + _CHUNK_CHARS)
+        if cut is None:
+            if src.more():
+                continue
+            break
         try:
-            entries = json.loads("[" + text[start : cut.start() + 1] + "]")
+            entries = json.loads("[" + src.text[src.pos : cut.start() + 1] + "]")
         except ValueError:  # the cut fell inside a string or past the array
             break
         build.add(map(_ENTRY, entries))
         del entries  # freed before the next chunk is decoded
-        start = cut.end()
-    if start == pos + 1:  # no cut: the array decodes in place
-        entries, end = _DECODER.scan_once(text, pos)
-    else:
-        entries, end = _DECODER.raw_decode("[" + text[start:])
-        if not entries:
-            raise ValueError("a comma before the close of the array")
-        end += start - 1
+        src.pos, chunked = cut.end(), True
+    entries = src.scan(_rest_of_array)
+    if chunked and not entries:
+        raise ValueError("a comma before the close of the array")
     build.add(map(_ENTRY, entries))
-    return end
 
 
-def _load_streamed(text: str) -> Ctmc:
-    """:func:`model_from_dict` of ``json.loads(text)``, with the
-    transitions decoded a chunk at a time straight into the builder.
+def _load_streamed(fh) -> Ctmc:
+    """:func:`model_from_dict` of ``json.load(fh)``, with the file read a
+    piece at a time and the transitions decoded a chunk at a time straight
+    into the builder.
 
     The top-level object is walked with json's own scanner, and every
     value but ``"transitions"`` is decoded whole.  A text it does not
     walk to the end (the transitions before the states, a repeated
     top-level key, trailing data, or anything json rejects) raises."""
+    src = _Pieces(fh)
     doc: dict = {}
     build, exprs = None, ()
-    pos = _WS(text, 0).end()
-    if text[pos] != "{":
+    if src.char() != "{":
         raise ValueError("not an object")
-    pos = _WS(text, pos + 1).end()
+    src.pos += 1
     while True:
-        if text[pos] != '"':
+        if src.char() != '"':
             raise ValueError("expected a key")
-        key, pos = json.decoder.scanstring(text, pos + 1)
-        pos = _WS(text, pos).end()
-        if text[pos] != ":" or key in doc:
+        src.pos += 1
+        key = src.scan(json.decoder.scanstring)
+        if src.char() != ":" or key in doc:
             raise ValueError("expected a new key and a colon")
-        pos = _WS(text, pos + 1).end()
+        src.pos += 1
         if key == "transitions":
             rows, exprs = _state_rows(doc)
             build = _ChainBuilder(rows)
-            pos = _streamed_entries(text, pos, build)
+            _streamed_entries(src, build)
             doc[key] = None  # seen, for the repeated-key test
         else:
-            doc[key], pos = _DECODER.scan_once(text, pos)
-        pos = _WS(text, pos).end()
-        if text[pos] == "}":
+            src.char()  # past the whitespace before the value
+            doc[key] = src.scan(_DECODER.scan_once)
+        sep = src.char()
+        if sep == "}":
             break
-        if text[pos] != ",":
+        if sep != ",":
             raise ValueError("expected a comma")
-        pos = _WS(text, pos + 1).end()
-    if _WS(text, pos + 1).end() != len(text):
+        src.pos += 1
+    src.pos += 1
+    if src.char():
         raise ValueError("trailing data")
     if build is None:
         return model_from_dict(doc)
-    return _with_exprs(build.chain(*_marks(doc)), exprs)
+    return _with_exprs(build.chain(*_marks(doc, build.idx)), exprs)
 
 
 def load_model(path: str) -> Ctmc:
@@ -739,25 +810,29 @@ def load_model(path: str) -> Ctmc:
     goal analyses read (:func:`_normal_form`) repairs a goal that is not
     absorbing or not uniquely labeled.
 
-    The text is read once.  Its transitions are decoded a chunk of about
-    1 MiB (``_CHUNK_CHARS``) at a time and passed into the builder, so
-    beside the text the reader holds one chunk's entries, not the whole
-    document: the n = 1600 ladder file (106 MB, 1.9 million transitions)
-    loads in 250 MB of max RSS instead of 806 MB, most of it the read,
-    while :func:`save_model` writes it in 84 MB (``BENCH_load.json``).
-    Any error on that route, and any text it does not walk, is left to the
-    whole-document route ``model_from_dict(json.loads(text))``, the
-    reference, so a malformed file raises the error that route raises.
+    The file is read a piece of about 64 KiB (``_CHUNK_CHARS``) at a
+    time, in text mode as one whole ``fh.read()`` reads it, and its
+    transitions are decoded a chunk of about that size at a time and
+    passed into the builder, so the reader holds a piece or two of the
+    text and one chunk's entries, never the whole text or document: the
+    n = 1600 ladder file (106 MB, 1.9 million transitions) loads in 98 MB
+    of max RSS instead of 250 MB (806 MB with ``json.load``), and the file
+    :func:`save_model` writes for that chain in 100 MB instead of 379 MB
+    (``BENCH_load.json``).  Any error on that route, and any text it does
+    not walk, is left to the whole-document route
+    ``model_from_dict(json.loads(text))``, the reference, on the file read
+    again whole, so a malformed file raises the error that route raises.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return _load_streamed(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return _load_streamed(fh)
     except Exception:
         # whatever the error, the reference route raises it again; raised
         # outside the handler, it carries no context from this route
         pass
-    return model_from_dict(json.loads(text))
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.loads(fh.read())
+    return model_from_dict(doc)
 
 
 def save_model(M: Ctmc, path: str) -> None:

@@ -1,13 +1,18 @@
 """One chain builder: model files are built and checked by ``make_ctmc``.
 
 ``model_from_dict`` keeps only the JSON type checks and the ``"exp(x)"``
-rate parsing and hands rows and a stream of transitions to
-``make_ctmc``; ``load_model`` opens the file and calls it.  The functions
+rate parsing and hands rows and a stream of transitions to the builder
+of ``make_ctmc``; ``load_model`` opens the file and calls it.  The functions
 below are the earlier builders, copied verbatim: ``model_from_dict``
 built its own chain and ``load_model`` validated it.  On documents drawn
 from the ``helpers`` chains, with ``exp(x)`` rates, partial rewards,
 repeated transitions and up to two spoiled fields, the library must
-return the same chain, raise the same error or exit with the same code.
+return the same chain, raise the same error or exit with the same code,
+but for the inputs that the library now rejects with a ValueError naming
+the field (:func:`_assert_rescoped`): a string or boolean ``prob``, which
+the earlier builders read with ``float``, and an unknown state id, a
+transition entry without a field and an empty ``states`` list, on which
+they raised a bare ``KeyError`` or an unpacking ``ValueError``.
 """
 
 from __future__ import annotations
@@ -133,6 +138,27 @@ def load_model(path: str) -> Ctmc:
         M = model_from_dict(json.load(fh))
     validate(replace(M, goal=(), fail=()))
     return M
+
+
+#: the library's error for a transition entry that is not an object with
+#: ids and a numeric probability
+BAD_ENTRY = "transitions: each entry must be an object with string 'from' and 'to' and a numeric 'prob'"
+
+
+def _text_or_bool_prob(doc) -> bool:
+    """Whether a transition entry of ``doc`` has a string or boolean 'prob'."""
+    transitions = doc.get("transitions") if isinstance(doc, dict) else None
+    return isinstance(transitions, list) and any(
+        isinstance(tr, dict) and isinstance(tr.get("prob"), (str, bool)) for tr in transitions
+    )
+
+
+def rescoped_load_model(path: str) -> Ctmc:
+    """:func:`load_model`, but a string or boolean 'prob' is rejected."""
+    with open(path, encoding="utf-8") as fh:
+        if _text_or_bool_prob(json.load(fh)):
+            raise ValueError(BAD_ENTRY)
+    return load_model(path)
 
 
 # ---------------------------------------------------------------- inputs
@@ -264,6 +290,26 @@ def _assert_same(new, old):
         assert getattr(new, name) == getattr(old, name), name
 
 
+def _assert_rescoped(new, old, doc):
+    """:func:`_assert_same`, where the earlier builders' outcome on ``doc``
+    is re-scoped to the errors that the library now raises instead: the
+    error of a bad entry for a string or boolean 'prob' (with one spoiled
+    field, the only fault), a ValueError naming the unknown state id of a
+    bare ``KeyError`` or the missing field of an entry, and a ValueError
+    on the empty ``states`` list of an unpacking error."""
+    if _text_or_bool_prob(doc):
+        old = ValueError(BAD_ENTRY)
+    elif isinstance(old, KeyError):
+        (key,) = old.args
+        assert type(new) is ValueError, f"expected a ValueError for {old!r}, got {new!r}"
+        missing_field = key in _FIELDS["transitions"] and str(new) == BAD_ENTRY
+        assert missing_field or str(new).endswith(f": unknown state id {key!r}"), (new, old)
+        return
+    elif isinstance(old, ValueError) and str(old).startswith("not enough values to unpack"):
+        old = ValueError("states must hold at least one state")
+    _assert_same(new, old)
+
+
 @contextlib.contextmanager
 def _model_file(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -297,8 +343,8 @@ def test_valid_documents_build_the_same_chain(doc):
 @given(doc=documents(spoiled=1))
 def test_one_spoiled_field_raises_the_same_error(doc):
     from_dict, loaded, old = _loaded(doc)
-    _assert_same(from_dict, old)
-    _assert_same(loaded, old)
+    _assert_rescoped(from_dict, old, doc)
+    _assert_rescoped(loaded, old, doc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,7 +352,7 @@ def test_one_spoiled_field_raises_the_same_error(doc):
 def test_two_spoiled_fields_exit_with_the_same_code(doc):
     with _model_file(doc) as path:
         codes = []
-        for loader in (model.load_model, load_model):
+        for loader in (model.load_model, rescoped_load_model):
             with mock.patch.object(cli, "load_model", loader), contextlib.redirect_stdout(
                 io.StringIO()
             ), contextlib.redirect_stderr(io.StringIO()):
@@ -330,8 +376,9 @@ def test_transitions_are_streamed():
                 seen.append(tr)
                 yield tr
 
+    first = len(doc["transitions"])
     doc["transitions"] = Entries(doc["transitions"] + [{"from": "s0", "to": "nowhere", "prob": 0.0}] * 3)
-    with pytest.raises(KeyError, match="nowhere"):
+    with pytest.raises(ValueError, match=rf"^transitions\[{first}\]\.to: unknown state id 'nowhere'$"):
         model.model_from_dict(doc)
     # the first unknown id stops the build: no list of all entries is made first
     assert len(seen) == len(doc["transitions"]) - 2

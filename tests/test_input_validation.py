@@ -105,12 +105,18 @@ def test_cli_rejects_non_finite_values(capsys, tmp_path, spoil, argv):
 # ------------------------------------------------------------ malformed JSON
 
 
-def _set(key, value, state=None):
+def _set(key, value, state=None, transition=None):
     def spoil(d):
-        (d if state is None else d["states"][state])[key] = value
+        target = d if state is None else d["states"][state]
+        (target if transition is None else d["transitions"][transition])[key] = value
         return d
 
     return spoil
+
+
+def _no_prob(d):
+    del d["transitions"][1]["prob"]
+    return d
 
 
 MALFORMED = {
@@ -123,6 +129,15 @@ MALFORMED = {
     "exit rate overflows": (_set("exit_rate", "exp(1000)", state=1), "states[1].exit_rate 'exp(1000)'"),
     "exit rate is true": (_set("exit_rate", True, state=0), "states[0].exit_rate must be int or float, got True"),
     "reward is false": (_set("reward", False, state=1), "states[1].reward must be int or float, got False"),
+    "states is empty": (_set("states", []), "states must hold at least one state"),
+    "transition from an unknown id": (_set("from", "zz", transition=0), "transitions[0].from: unknown state id 'zz'"),
+    "transition to an unknown id": (_set("to", "zz", transition=2), "transitions[2].to: unknown state id 'zz'"),
+    "transition without prob": (_no_prob, "transitions: each entry"),
+    "prob is a string": (_set("prob", "0.5", transition=0), "transitions: each entry"),
+    "prob is true": (_set("prob", True, transition=3), "transitions: each entry"),
+    "initial is unknown": (_set("initial", "zz"), "initial: unknown state id 'zz'"),
+    "goal is unknown": (_set("goal", ["g", "zz"]), "goal: unknown state id 'zz'"),
+    "fail is unknown": (_set("fail", ["zz"]), "fail: unknown state id 'zz'"),
 }
 
 

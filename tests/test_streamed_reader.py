@@ -1,15 +1,19 @@
 """``load_model`` reads a model file as ``model_from_dict(json.loads(text))`` does.
 
-The reader decodes the transitions array a chunk at a time into the
-builder and walks the rest of the document with json's own scanner; any
-text it does not walk falls back to the whole-document route.  On drawn
-chains written as text (by ``save_model``, by ``bench/gen.py``'s
-``write_model`` and by ``json.dumps``, with odd ids, permuted and repeated
-top-level keys, entries with extra keys, trailing garbage, truncations and
-a leading BOM) it must build the chain of that route or raise its error,
-with chunks of 1, 7 and 64 characters, so that the files span many
-chunks.  The files of the two writers must never take the fallback, and
-the reader must hold less than half of what the whole document holds.
+The reader reads the file a piece at a time, decodes the transitions
+array a chunk at a time into the builder and walks the rest of the
+document with json's own scanner; any text it does not walk falls back to
+the whole-document route on the file read again.  On drawn chains written
+as text (by ``save_model``, by ``bench/gen.py``'s ``write_model`` and by
+``json.dumps``, with odd ids, permuted and repeated top-level keys, entries
+with extra keys, trailing garbage, truncations and a leading BOM) it must
+build the chain of that route or raise its error, with pieces and chunks
+of 1, 7 and 64 characters, so that the files span many of them; so too on
+CRLF and lone-CR line endings, on multi-byte ids that straddle the reads,
+on a value that ends at a piece end and on a ``states`` array many pieces
+long.  The files of the two writers must never take the fallback, and the
+reader must hold less than half of what the whole document holds, and
+less than a quarter of a sparse file with long ids.
 """
 
 from __future__ import annotations
@@ -266,3 +270,102 @@ def test_the_reader_holds_less_than_half_the_whole_document(tmp_path):
     streamed = _peak(lambda: model.load_model(path))
     whole = _peak(lambda: _whole(path))
     assert streamed < whole / 2, (streamed, whole)
+
+
+# ---------------------------------------------------------------- piece ends
+
+
+def _chunked(chunk):
+    return mock.patch.object(model, "_CHUNK_CHARS", chunk)
+
+
+def _assert_streamed(path: str):
+    """``load_model`` of ``path`` builds the chain of the whole-document
+    route without taking the fallback."""
+    with _whole_text_loads(path) as calls:
+        loaded = model.load_model(path)
+    assert calls == []
+    _assert_same(loaded, _whole(path))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("newline", ("\r\n", "\r"))
+def test_crlf_and_lone_cr_line_endings_read_as_a_whole_read_does(chunk, newline):
+    text = dumps_model(random_labeled_chain(np.random.default_rng(3), n=12))
+    with _model_file(text.replace("\n", newline)) as path, _chunked(chunk):
+        assert Path(path).read_bytes().count(newline.encode()) == text.count("\n")
+        _assert_streamed(path)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_multi_byte_ids_straddle_the_reads(chunk):
+    M = random_uniform_chain(np.random.default_rng(4), n=8)
+    M = replace(M, ids=tuple("ü😀ï" * (7 + 13 * i) + str(i) for i in range(M.n)))
+    text = json.dumps(model_to_dict(M), ensure_ascii=False, indent=2)
+    # the file spans several of the 8 KiB byte reads under the text reads
+    assert len(text.encode()) > 3 * 8192 and len(text.encode()) > 4 * len(text) // 3
+    with _model_file(text) as path, _chunked(chunk):
+        _assert_streamed(path)
+
+
+@pytest.mark.parametrize("literal", ("12345", "-0.5e-3", "true", "false", "null"))
+def test_a_value_that_ends_at_a_piece_end_is_read_whole(literal):
+    body = dumps_model(random_uniform_chain(np.random.default_rng(5), n=4))
+    text = '{"x": ' + literal + ", " + body[1:-2] + ', "y": ' + literal + "}"
+    first = text.index(literal) + len(literal)
+    # every first piece from one that ends before the value to one that
+    # ends exactly at its end and one past it
+    for chunk in range(1, first + 2):
+        with _model_file(text) as path, _chunked(chunk):
+            _assert_streamed(path)
+
+
+def test_a_states_array_many_pieces_long_is_scanned_in_linear_time():
+    M = random_labeled_chain(np.random.default_rng(6), n=120)
+    text = _gen_text(M)
+    states = len(json.dumps(model_to_dict(M)["states"]))
+    assert states > 40 * 64
+    scan_once, scanned = model._DECODER.scan_once, []
+
+    def counting(s, idx):
+        scanned.append(len(s) - idx)
+        return scan_once(s, idx)
+
+    with _model_file(text) as path, _chunked(64), mock.patch.object(model._DECODER, "scan_once", counting):
+        _assert_streamed(path)
+    # a retry reads as much again as is left, so the scans add up to a few
+    # times the length of the states array (3.3 here), not to its square
+    # over the piece size (37 with a piece read per retry)
+    assert sum(scanned) < 6 * states, (sum(scanned), states)
+
+
+@pytest.mark.parametrize("chunk", (*CHUNKS, None))
+def test_the_transitions_before_the_states_take_the_fallback_once(chunk):
+    d = model_to_dict(random_rewarded_chain(np.random.default_rng(7)))
+    text = json.dumps({"transitions": d.pop("transitions"), **d}, indent=2)
+    size = _chunked(chunk) if chunk else contextlib.nullcontext()
+    with _model_file(text) as path, size, _whole_text_loads(path) as calls:
+        loaded = model.load_model(path)
+        assert calls == [len(text)]
+        _assert_same(loaded, _whole(path))
+
+
+def _sparse_chain(n: int, out: int, id_chars: int) -> Ctmc:
+    """A chain of ``n`` states with ids of about ``id_chars`` characters
+    and ``out`` transitions out of each state."""
+    rng = np.random.default_rng(8)
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, rng.choice(n, size=out, replace=False)] = rng.dirichlet(np.ones(out))
+    ids = tuple(f"{i}-" + "x" * id_chars for i in range(n))
+    return Ctmc(ids=ids, labels=((),) * n, P=P, E=np.ones(n), initial=0)
+
+
+def test_the_reader_holds_less_than_a_quarter_of_a_sparse_file(tmp_path):
+    path = str(tmp_path / "model.json")
+    model.save_model(_sparse_chain(200, 10, 2000), path)
+    size = os.path.getsize(path)
+    assert size > 8_000_000
+    with _chunked(1 << 16):
+        streamed = _peak(lambda: model.load_model(path))
+    assert streamed < size / 4, (streamed, size)
