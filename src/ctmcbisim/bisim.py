@@ -59,6 +59,8 @@ FLOW_ETA = 1e-9
 DELTA_SLACK = 1e-12
 #: most successors of each row of a pair whose flow ``_decide`` reads off its cuts
 ENUM_DEGREE = 4
+#: ``_SUBSETS[a, i]``: 1 when subset a of a padded row holds its i-th entry, that is bit i of a
+_SUBSETS = np.arange(1 << ENUM_DEGREE)[:, None] >> np.arange(ENUM_DEGREE) & 1
 
 
 # --------------------------------------------------------------------------
@@ -484,38 +486,92 @@ def _mass_cutoff(threshold: tuple[int, int], n: int) -> float:
     """The cutoff of the class-mass bound: ``_cutoff`` at ``gamma_2n``.
 
     A computed class-mass bound below it proves an exact bound below
-    ``thr``.  Write ``c_C`` for the exact ``P(s, C)``.  Its float ``P @
-    onehot`` sums n terms, each product with 0 or 1 exact, so in any
-    summation order ``(1 - gamma_{n-1}) c_C <= fl(c_C)``; ``min`` keeps
-    that, and the float sum of the k <= n class minima loses at most
-    another factor ``1 - gamma_{k-1}``.  So the float bound is at least
-    ``(1 - gamma_{n-1}) (1 - gamma_{k-1}) >= 1 - gamma_2n`` times the exact
-    one, and the margin is ``thr * gamma_2n`` plus the rounding of the
-    cutoff down to a float.
+    ``thr``.  Write ``c_C`` for the exact ``P(s, C)``.  Its float, the sum
+    of the probabilities of the entries of ``M.succ`` of s that lie in C,
+    adds at most n exact terms, so in any summation order ``(1 -
+    gamma_{n-1}) c_C <= fl(c_C)``; ``min`` keeps that, and the float sum of
+    the k <= n class minima loses at most another factor ``1 -
+    gamma_{k-1}``.  So the float bound is at least ``(1 - gamma_{n-1}) (1 -
+    gamma_{k-1}) >= 1 - gamma_2n`` times the exact one, and the margin is
+    ``thr * gamma_2n`` plus the rounding of the cutoff down to a float.
     """
     return _cutoff(threshold, 2 * n)
 
 
-def _mass_rejects(P: np.ndarray, related: np.ndarray, todo: np.ndarray, cut: float) -> np.ndarray:
+#: the source state, the target state and the probability of each entry of
+#: ``Ctmc.succ``, in its order
+_Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _edges(M: Ctmc) -> _Edges:
+    indptr, indices = M.succ
+    src = np.repeat(np.arange(M.n), np.diff(indptr))
+    return src, indices, M.P[src, indices]
+
+
+class _Tables(NamedTuple):
+    """What every sweep of one fixpoint decides its pairs with.  None of
+    it depends on the relation, so ``_tables`` builds it once per
+    fixpoint and once per verification."""
+
+    edges: _Edges
+    small: np.ndarray  # the states with at most ENUM_DEGREE successors
+    succ: np.ndarray  # (n, D): each state's first D successors, padded with state 0
+    prob: np.ndarray  # (n, D): the probabilities to them, padded with 0
+    mass: float  # _mass_cutoff
+    below: float  # _cutoff at gamma_2D: a least cut below it fails
+    above: float  # _cutoff at gamma_2D, above: least cuts at or above it pass
+    diagonal: float  # _cutoff at gamma_n, above: a diagonal mass at or above it passes
+
+
+def _tables(M: Ctmc, threshold: tuple[int, int]) -> _Tables:
+    """The ``_Tables`` of the chain ``M`` at the exact ``threshold``."""
+    D = ENUM_DEGREE
+    src, dst, p = edges = _edges(M)
+    indptr = M.succ[0]
+    col = np.arange(len(dst)) - indptr[src]
+    first = col < D
+    succ, prob = np.zeros((M.n, D), dtype=np.intp), np.zeros((M.n, D))
+    succ[src[first], col[first]] = dst[first]
+    prob[src[first], col[first]] = p[first]
+    return _Tables(
+        edges,
+        np.diff(indptr) <= D,
+        succ,
+        prob,
+        _mass_cutoff(threshold, M.n),
+        _cutoff(threshold, 2 * D),
+        _cutoff(threshold, 2 * D, above=True),
+        _cutoff(threshold, M.n, above=True),
+    )
+
+
+def _mass_rejects(edges: _Edges, related: np.ndarray, todo: np.ndarray, cut: float) -> np.ndarray:
     """For each pair of ``todo``, whether its class-mass bound over the
     connected components of ``related`` is below ``cut``: such a pair
-    fails its flow check in both orientations.  The pairs x classes
-    temporaries hold at most ``graph.BLOCK_CELLS`` cells each."""
+    fails its flow check in both orientations.
+
+    The (n, classes) table of the masses ``P(s, C)`` is one ``np.bincount``
+    over ``edges``, which sums each mass in the order of ``Ctmc.succ``.
+    The pairs x classes temporaries hold at most ``graph.BLOCK_CELLS``
+    cells each."""
+    src, dst, p = edges
     label = graph.components(graph.csr(related))
-    onehot = (label[:, None] == np.arange(label.max() + 1)).astype(float)
-    mass = P @ onehot
+    k = int(label.max()) + 1
+    mass = np.bincount(src * k + label[dst], weights=p, minlength=len(related) * k).reshape(-1, k)
     out = np.empty(len(todo), dtype=bool)
-    for b in graph.blocks(len(todo), onehot.shape[1]):
+    for b in graph.blocks(len(todo), k):
         s, t = todo[b].T
         out[b] = np.minimum(mass[s], mass[t]).sum(axis=1) < cut
     return out
 
 
-def _decide(M: Ctmc, related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
+def _decide(M: Ctmc, related: np.ndarray, T: _Tables, pairs: np.ndarray):
     """Boolean arrays ``(passes, fails)`` over the ``(k, 2)`` array
-    ``pairs``: a pass clears the exact threshold in both orientations at
-    the boolean relation matrix ``related``; a fail falls short of it in at
-    least one.  The rest are left to the flow kernel.
+    ``pairs``: a pass clears the exact threshold of the tables ``T`` in
+    both orientations at the boolean relation matrix ``related``; a fail
+    falls short of it in at least one.  The rest are left to the flow
+    kernel.
 
     * A pair whose rows both have at most ``ENUM_DEGREE = D`` successors
       gets its exact value in each orientation from its min cut (Gale,
@@ -527,65 +583,48 @@ def _decide(M: Ctmc, related: np.ndarray, threshold: tuple[int, int], pairs: np.
       each masked exactly, so the float least cut is within a factor ``1
       +- gamma_2D`` of the exact one (a least float cut is at most the
       float of an exact least cut, and at least ``1 - gamma_2D`` times
-      some exact cut).  It passes at or above ``_cutoff(threshold, 2D,
-      above=True)`` in both orientations, and fails below ``_cutoff(
-      threshold, 2D)`` in either.
+      some exact cut).  It passes at or above ``T.above`` in both
+      orientations, and fails below ``T.below`` in either.
     * Any other pair passes when its diagonal mass ``sum_j min(P(s, j),
-      P(t, j))`` is at or above ``_cutoff(threshold, n, above=True)``:
-      with R reflexive, shipping ``min(P(s, j), P(t, j))`` from j to j is
-      a flow in both orientations (the maximal coupling; Lindvall, 1992),
-      and its float sum of n terms is at most ``1 + gamma_n`` times the
-      exact one.  Such a pair never fails here, and none passes unless
-      ``related`` is reflexive.
+      P(t, j))`` is at or above ``T.diagonal``: with R reflexive, shipping
+      ``min(P(s, j), P(t, j))`` from j to j is a flow in both orientations
+      (the maximal coupling; Lindvall, 1992), and its float sum of n terms
+      is at most ``1 + gamma_n`` times the exact one.  Such a pair never
+      fails here, and none passes unless ``related`` is reflexive.
 
     Every pairs x subsets and pairs x states temporary holds at most
     ``graph.BLOCK_CELLS`` cells (at least one pair's).
     """
-    D = ENUM_DEGREE
-    indptr, indices = M.succ
-    deg = np.diff(indptr)
     s, t = pairs.T
-    small = deg <= D
-    low = small[s] & small[t]
+    low = T.small[s] & T.small[t]
     passes, fails = np.zeros(len(pairs), dtype=bool), np.zeros(len(pairs), dtype=bool)
-    # each state's first D successors and their probabilities, padded with state 0 at probability 0
-    src = np.repeat(np.arange(M.n), deg)
-    col = np.arange(len(indices)) - indptr[src]
-    first = col < D
-    succ, prob = np.zeros((M.n, D), dtype=np.intp), np.zeros((M.n, D))
-    succ[src[first], col[first]] = indices[first]
-    prob[src[first], col[first]] = M.P[src[first], indices[first]]
-    # subsets[a, i]: 1 when subset a holds the i-th successor, that is bit i of a
-    subsets = np.arange(1 << D)[:, None] >> np.arange(D) & 1
-    below, above = _cutoff(threshold, 2 * D), _cutoff(threshold, 2 * D, above=True)
-    for chunk in graph.blocks(len(pairs), 1 << D):
+    for chunk in graph.blocks(len(pairs), len(_SUBSETS)):
         k = chunk.start + np.flatnonzero(low[chunk])
         a, b = s[k], t[k]
-        rel = related[succ[a][:, :, None], succ[b][:, None, :]]
-        st = _least_cut(prob[a], prob[b], rel, subsets)
-        ts = _least_cut(prob[b], prob[a], rel.transpose(0, 2, 1), subsets)
-        passes[k] = (st >= above) & (ts >= above)
-        fails[k] = (st < below) | (ts < below)
+        rel = related[T.succ[a][:, :, None], T.succ[b][:, None, :]]
+        st = _least_cut(T.prob[a], T.prob[b], rel)
+        ts = _least_cut(T.prob[b], T.prob[a], rel.transpose(0, 2, 1))
+        passes[k] = (st >= T.above) & (ts >= T.above)
+        fails[k] = (st < T.below) | (ts < T.below)
     if related.diagonal().all():  # else the diagonal coupling may ship along an unrelated pair
-        above = _cutoff(threshold, M.n, above=True)
         diag = np.flatnonzero(~low)
         for chunk in graph.blocks(len(diag), M.n):
             k = diag[chunk]
-            passes[k] = np.minimum(M.P[s[k]], M.P[t[k]]).sum(axis=1) >= above
+            passes[k] = np.minimum(M.P[s[k]], M.P[t[k]]).sum(axis=1) >= T.diagonal
     return passes, fails
 
 
-def _least_cut(p: np.ndarray, q: np.ndarray, rel: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+def _least_cut(p: np.ndarray, q: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """Per pair, the float least cut ``min_A p(~A) + q(N(A))`` over the
-    subsets A of ``subsets``, where ``p`` and ``q`` are ``(k, D)`` padded
+    subsets A of ``_SUBSETS``, where ``p`` and ``q`` are ``(k, D)`` padded
     rows and ``rel[:, i, j]`` relates the i-th entry of ``p`` to the j-th
     of ``q``.  Subsets are bit masks: ``~A`` is column ``2**D - 1 - A``,
     and ``N(A)`` is the union of the masks ``rel[:, i]`` over i in A."""
-    mass_p, mass_q = p @ subsets.T, q @ subsets.T  # the float mass of every subset
+    mass_p, mass_q = p @ _SUBSETS.T, q @ _SUBSETS.T  # the float mass of every subset
     bits = rel @ (1 << np.arange(p.shape[1]))
     nbr = np.zeros(mass_q.shape, dtype=bits.dtype)
     for i in range(p.shape[1]):
-        nbr |= subsets[:, i] * bits[:, i, None]
+        nbr |= _SUBSETS[:, i] * bits[:, i, None]
     return (mass_p[:, ::-1] + np.take_along_axis(mass_q, nbr, axis=1)).min(axis=1)
 
 
@@ -596,6 +635,39 @@ def _into_preds(pred: graph.Index, X: np.ndarray) -> np.ndarray:
     for a in np.flatnonzero(X.any(axis=1)).tolist():
         out[indices[indptr[a] : indptr[a + 1]]] |= X[a]
     return out
+
+
+def _touched_pairs(pred: graph.Index, related: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """``_pairs`` of ``related`` at the pairs ``(s, t)`` with ``s -> b`` and
+    ``t -> a`` for a pair ``(a, b)`` of ``drop``.  Each pass frees the
+    n x n matrix it read before the next one runs."""
+    X = np.zeros_like(related)
+    X[drop[:, 0], drop[:, 1]] = True
+    X = _into_preds(pred, X)  # X[t, b]: t -> a for a pair (a, b) of drop
+    X = np.ascontiguousarray(X.T)  # the next pass reads its rows
+    return _pairs(related, _into_preds(pred, X))
+
+
+def _pairs(related: np.ndarray, touched: np.ndarray | None = None) -> np.ndarray:
+    """The pairs ``s < t`` of the boolean matrix ``related``, with
+    ``touched`` only those where it or its transpose holds, as a ``(k, 2)``
+    array in row-major order, of int32 while n < 2**31.  They are listed a
+    block of rows at a time, each from the columns at or right of the
+    block's first diagonal cell, so no temporary holds n x n cells."""
+    n = len(related)
+    dtype = np.int32 if n < 2**31 else np.intp
+    parts = [np.empty((0, 2), dtype)]
+    for b in graph.blocks(n, n):
+        x = related[b, b.start :]
+        if touched is not None:
+            x = x & (touched[b, b.start :] | touched[b.start :, b].T)
+        s, t = np.divmod(np.flatnonzero(x), x.shape[1])
+        upper = t > s
+        part = np.empty((np.count_nonzero(upper), 2), dtype)
+        part[:, 0], part[:, 1] = s[upper], t[upper]
+        part += b.start
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 def _flow_failures(row: Callable[[int], _Row], related: np.ndarray, threshold: tuple[int, int], pairs: np.ndarray):
@@ -626,9 +698,10 @@ def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
     the relation as of the sweep's start:
 
     1. class-mass reject (``_mass_rejects``): any flow along the relation
-       stays within its connected components, so a pair whose float bound
-       is below ``_mass_cutoff`` (the exact threshold less a margin for the
-       rounding of the bound) fails both orientations and is dropped;
+       stays within its connected components, so a pair whose float bound,
+       its class masses summed over ``Ctmc.succ``, is below
+       ``_mass_cutoff`` (the exact threshold less a margin for the rounding
+       of the bound) fails both orientations and is dropped;
     2. cut enumeration (``_decide``): a pair whose rows both have at most
        ``ENUM_DEGREE`` successors passes or is dropped on its least cut in
        each orientation, when that clears the threshold by the rounding
@@ -640,15 +713,21 @@ def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
 
     Routes 1-3 decide only what the exact flows decide, so each sweep
     checks and drops the same pairs as with the flow check alone.
+
+    What does not depend on the relation (the edge list, the padded
+    successor tables and the cutoffs, ``_tables``) is built once, before
+    the first sweep.  The pairs are int32 arrays while n < 2**31, listed a
+    block of rows at a time (``_pairs``), and a sweep that drops nothing
+    ends the fixpoint with no further bookkeeping.
     """
     row = cache(partial(_row, M))
     threshold = _threshold(eps, eta)
-    cut = _mass_cutoff(threshold, M.n)
-    todo = np.argwhere(np.triu(related, 1))
+    T = _tables(M, threshold)
+    todo = _pairs(related)
     while len(todo):
-        fails = _mass_rejects(M.P, related, todo, cut)
+        fails = _mass_rejects(T.edges, related, todo, T.mass)
         kept = np.flatnonzero(~fails)
-        passes, decided = _decide(M, related, threshold, todo[kept])
+        passes, decided = _decide(M, related, T, todo[kept])
         fails[kept] = decided
         rest = kept[~(passes | decided)]
         for i, _, _ in _flow_failures(row, related, threshold, todo[rest]):
@@ -656,11 +735,9 @@ def _sweeps(M: Ctmc, related: np.ndarray, eps: float, eta: float):
         drop = todo[fails]
         related[drop[:, 0], drop[:, 1]] = related[drop[:, 1], drop[:, 0]] = False
         yield todo, drop
-        dropped = np.zeros_like(related)
-        dropped[drop[:, 0], drop[:, 1]] = True
-        # touched[s, t]: s -> b and t -> a for a pair (a, b) just dropped
-        touched = _into_preds(M.pred, _into_preds(M.pred, dropped).T)
-        todo = np.argwhere(np.triu((touched | touched.T) & related, 1))
+        if not len(drop):
+            return
+        todo = _touched_pairs(M.pred, related, drop)
 
 
 def epsilon_delta_bisim(M: Ctmc, eps: float, delta: float, eta: float = FLOW_ETA) -> PairRelation:
@@ -696,14 +773,14 @@ def is_bisimulation(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relation
     rate failure that ``_decide`` does not pass."""
     if R.n != M.n:
         raise ValueError("relation size does not match the chain")
-    pairs = np.argwhere(np.triu(R.matrix, 1))  # R.off_diagonal(), in order
+    pairs = _pairs(R.matrix)  # R.off_diagonal(), in order
     s, t = pairs.T
     labels, label, lnE = M.label_sets, _first_seen(M.label_sets), np.log(M.E)
     # a NaN rate gap is not > delta, so it fails no pair
     bad = np.flatnonzero((label[s] != label[t]) | (np.abs(lnE[s] - lnE[t]) > R.delta + DELTA_SLACK))
     stop = int(bad[0]) if len(bad) else len(pairs)
     threshold = _threshold(R.eps, eta)
-    passes, _ = _decide(M, R.matrix, threshold, pairs[:stop])
+    passes, _ = _decide(M, R.matrix, _tables(M, threshold), pairs[:stop])
     for _, pair, f in _flow_failures(cache(partial(_row, M)), R.matrix, threshold, pairs[:stop][~passes]):
         return RelationCheck(False, pair, "eps", f"max related mass {_related_mass(f):.12g} < 1 - eps")
     if len(bad):
@@ -728,13 +805,12 @@ def _first_seen(keys: Iterable) -> np.ndarray:
 def _block_masses(M: Ctmc, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The states ``s``, blocks ``b`` and masses ``P(s, b) > 0`` by state and
     block, each the ``math.fsum`` of the entries of ``M.succ`` of ``s`` in ``b``."""
-    indptr, indices = M.succ
-    src = np.repeat(np.arange(M.n), np.diff(indptr))
-    key = src * M.n + label[indices]
+    src, dst, p = _edges(M)
+    key = src * M.n + label[dst]
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    p = M.P[src[order], indices[order]].tolist()
+    p = p[order].tolist()
     mass = [math.fsum(p[a:b]) for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(p)])]
     return key[starts] // M.n, key[starts] % M.n, np.array(mass)
 

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import warnings
+from functools import cache
 
 import numpy as np
 
@@ -300,7 +301,11 @@ _POSITIVE = _at_least(0.0, strict=True)
 _BUDGET = _option(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process.  A subcommand's name
+    names its function, ``cmd_<name>``, which ``main`` looks up on each
+    call, so a replaced ``cmd_*`` is the one that runs."""
     p = argparse.ArgumentParser(
         prog="ctmcbisim",
         description="Approximate bisimulation and reachability error bounds for CTMCs.",
@@ -322,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_NONNEGATIVE, default=0.0)
     sp.add_argument("--delta", type=_NONNEGATIVE, default=0.0)
     sp.add_argument("--explain", action="store_true", help="report why the initial pair fails")
-    sp.set_defaults(fn=cmd_check_bisim)
 
     sp = sub.add_parser("bounds", help="error-bound curves against the exact difference")
     add_model(sp)
@@ -334,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--which", default="exact,erlangN,spectral",
                     help=f"comma-separated columns from {_BOUND_NAMES}")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("pareto", help="sample the (eps, delta) frontier for a bound budget")
     sp.add_argument("--theta", type=_BUDGET, required=True, help="bound budget, in [0, 1)")
@@ -343,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_int_at_least(2), default=33)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_pareto)
 
     sp = sub.add_parser("reward-reach", help="reward-bounded reachability probability")
     add_model(sp)
@@ -352,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", default=None, help="start state id (default: initial)")
     sp.add_argument("--eps", type=_NONNEGATIVE, default=None)
     sp.add_argument("--delta", type=_NONNEGATIVE, default=None)
-    sp.set_defaults(fn=cmd_reward_reach)
 
     sp = sub.add_parser("pair-uniformize", help="flatten a (0,delta)-related pair to uniform rates")
     add_model(sp)
@@ -360,19 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=_NONNEGATIVE, required=True)
     sp.add_argument("--relation", default=None,
                     help="relation JSON over the direct sum (default: greatest (0,delta) relation)")
-    sp.set_defaults(fn=cmd_pair_uniformize)
 
     sp = sub.add_parser("spectral-report", help="eigenstructure of the goal-normalized jump matrix")
     add_model(sp)
     add_tol(sp)
-    sp.set_defaults(fn=cmd_spectral_report)
 
     sp = sub.add_parser("pn", help="hitting-step formula vs. matrix-power oracle")
     add_model(sp)
     add_tol(sp)
     sp.add_argument("--steps", type=_int_at_least(0), default=30)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(fn=cmd_pn)
 
     sp = sub.add_parser("simulate", help="seeded Monte Carlo time-bounded reachability")
     add_model(sp)
@@ -380,19 +378,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paths", type=_int_at_least(1), default=10_000)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--confidence", type=_between(0.0, 1.0), default=0.95)
-    sp.set_defaults(fn=cmd_simulate)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (err.CtmcError, *_NUMERICAL_ERRORS, OSError, KeyError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1 if isinstance(e, err.NegativeVerdict) else 3 if isinstance(e, _NUMERICAL_ERRORS) else 2

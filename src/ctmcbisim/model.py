@@ -733,14 +733,18 @@ def _streamed_entries(src: _Pieces, build: _ChainBuilder) -> None:
     A chunk ends at the first entry close and comma past ``_CHUNK_CHARS``
     characters and is decoded as an array of its own.  Only an object ends
     in ``}``, so a chunk that decodes holds whole entries, the ones the
-    whole text holds.  The last chunk, and one whose cut fell inside a
-    string, is decoded together with the rest of the array."""
+    whole text holds.  When a cut falls inside a string, or past the
+    array, the chunk is tried again up to a later cut, 1, 2, 4, ...
+    characters past the failed one, so that a run of cuts inside strings
+    costs logarithmically many retries.  The last chunk is decoded
+    together with the rest of the array."""
     if src.char() != "[":
         raise ValueError("transitions is not an array")
     src.pos += 1
     chunked = False
+    reach, step = _CHUNK_CHARS, 1  # where the next cut is searched from, past src.pos
     while True:
-        cut = _CUT.search(src.text, src.pos + _CHUNK_CHARS)
+        cut = _CUT.search(src.text, src.pos + reach)
         if cut is None:
             if src.more():
                 continue
@@ -748,10 +752,12 @@ def _streamed_entries(src: _Pieces, build: _ChainBuilder) -> None:
         try:
             entries = json.loads("[" + src.text[src.pos : cut.start() + 1] + "]")
         except ValueError:  # the cut fell inside a string or past the array
-            break
+            reach, step = cut.end() - src.pos + step, 2 * step
+            continue
         build.add(map(_ENTRY, entries))
         del entries  # freed before the next chunk is decoded
         src.pos, chunked = cut.end(), True
+        reach, step = _CHUNK_CHARS, 1
     entries = src.scan(_rest_of_array)
     if chunked and not entries:
         raise ValueError("a comma before the close of the array")

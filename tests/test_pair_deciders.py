@@ -97,7 +97,7 @@ def _assert_sound(M: Ctmc, related: np.ndarray, threshold: tuple[int, int]) -> t
     """Decide every pair ``s < t`` and check each decision against the exact
     flows; returns (passes, fails)."""
     pairs = np.argwhere(np.triu(np.ones((M.n, M.n), dtype=bool), 1))
-    passes, fails = bisim._decide(M, related, threshold, pairs)
+    passes, fails = bisim._decide(M, related, bisim._tables(M, threshold), pairs)
     assert not (passes & fails).any()
     for (s, t), ok, bad in zip(pairs.tolist(), passes.tolist(), fails.tolist()):
         if ok:
@@ -135,7 +135,7 @@ def test_both_deciders_pass_and_enumeration_fails_on_drawn_chains():
         related = _random_relation(np.random.default_rng(seed), M.n)
         deg = np.diff(M.succ[0])
         pairs = np.argwhere(np.triu(np.ones((M.n, M.n), dtype=bool), 1))
-        passes, fails = bisim._decide(M, related, _threshold(0.25, FLOW_ETA), pairs)
+        passes, fails = bisim._decide(M, related, bisim._tables(M, _threshold(0.25, FLOW_ETA)), pairs)
         low = (deg[pairs[:, 0]] <= ENUM_DEGREE) & (deg[pairs[:, 1]] <= ENUM_DEGREE)
         for route, where in (("enumerated", low), ("diagonal", ~low)):
             routes[route][0] += int(passes[where].sum())
@@ -183,7 +183,7 @@ def test_a_value_near_the_threshold(eps, eta, ulps, degree):
     for a, b in ((0, 1), (1, 0)):
         f = _max_flow(_row(M, a), _row(M, b), related, threshold)
         assert Fraction(f.value, 1 << f.exp) == v
-    (passed,), (failed,) = bisim._decide(M, related, threshold, np.array([[0, 1]]))
+    (passed,), (failed,) = bisim._decide(M, related, bisim._tables(M, threshold), np.array([[0, 1]]))
     assert not passed or v >= thr
     assert not failed or v < thr
     if abs(ulps) <= 4:  # inside the rounding margin: left to the kernel

@@ -369,3 +369,43 @@ def test_the_reader_holds_less_than_a_quarter_of_a_sparse_file(tmp_path):
     with _chunked(1 << 16):
         streamed = _peak(lambda: model.load_model(path))
     assert streamed < size / 4, (streamed, size)
+
+
+def _cut_ids(M: Ctmc, tail: str) -> Ctmc:
+    """``M`` with ``tail`` after every id: each id then holds the entry
+    close and comma that the reader cuts its chunks at."""
+    return replace(M, ids=tuple(i + tail for i in M.ids))
+
+
+def test_cuts_inside_strings_keep_the_reader_to_a_chunk(tmp_path):
+    # most cuts past a chunk's length fall inside an id; a later cut is
+    # tried, so the reader still holds one chunk's entries, not the rest of
+    # the array (29 MB here when it decoded the rest whole)
+    M = _sparse_chain(200, 10, 2000)
+    peaks = []
+    for chain in (M, _cut_ids(M, "},x")):
+        path = str(tmp_path / "model.json")
+        model.save_model(chain, path)
+        assert os.path.getsize(path) > 8_000_000
+        with _chunked(1 << 16):
+            peaks.append(_peak(lambda: model.load_model(path)))
+            _assert_streamed(path)
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_a_run_of_cuts_inside_a_string_costs_logarithmic_retries():
+    M = random_uniform_chain(np.random.default_rng(9), n=4)
+    text = dumps_model(_cut_ids(M, "}," * 4096))
+    entries = int((M.P > 0).sum())
+    loads, decoded = json.loads, []
+
+    def counting(s, *args, **kwargs):
+        decoded.append(len(s))
+        return loads(s, *args, **kwargs)
+
+    with _model_file(text) as path, _chunked(64), mock.patch.object(json, "loads", counting):
+        loaded = model.load_model(path)
+    _assert_same(loaded, model.model_from_dict(loads(text)))
+    # each entry holds two ids of 4096 cuts each: about 14 retries per id
+    # with the doubling reach, against 4096 when every next cut is tried
+    assert len(decoded) <= entries * 2 * 16, (len(decoded), entries)

@@ -152,7 +152,7 @@ def _assert_same_check(M: Ctmc, R: PairRelation, eta: float = FLOW_ETA) -> Relat
     assert (new.ok, new.pair, new.condition, new.detail) == (old.ok, old.pair, old.condition, old.detail)
     threshold = _threshold(R.eps, eta)
     pairs = np.argwhere(np.triu(R.matrix, 1))
-    passed = {tuple(p) for p in pairs[bisim._decide(M, R.matrix, threshold, pairs)[0]].tolist()}
+    passed = {tuple(p) for p in pairs[bisim._decide(M, R.matrix, bisim._tables(M, threshold), pairs)[0]].tolist()}
     assert new_calls == [(a, b, stop) for a, b, stop in old_calls if (min(a, b), max(a, b)) not in passed]
     skipped = {(min(a, b), max(a, b)) for a, b, _ in old_calls} & passed
     for s, t in skipped:
