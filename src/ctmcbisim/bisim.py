@@ -45,7 +45,6 @@ import json
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple
 
@@ -474,12 +473,14 @@ def _cutoff(threshold: tuple[int, int], m: int, above: bool = False) -> float:
     thr, exp = threshold
     if thr <= 0:
         return 0.0
-    mu = Fraction(m, 1 << 53)
-    exact = Fraction(thr, 1 << exp) * (1 if above else 1 - 2 * mu) / (1 - mu)
-    cut = float(exact)  # correctly rounded
+    # the exact cutoff is num / den; an int / int quotient is correctly rounded
+    num = thr * ((1 << 53) if above else (1 << 53) - 2 * m)
+    den = ((1 << 53) - m) << exp
+    cut = num / den
+    a, b = cut.as_integer_ratio()
     if above:
-        return cut if Fraction(cut) >= exact else math.nextafter(cut, math.inf)
-    return cut if Fraction(cut) <= exact else math.nextafter(cut, 0.0)
+        return cut if a * den >= num * b else math.nextafter(cut, math.inf)
+    return cut if a * den <= num * b else math.nextafter(cut, 0.0)
 
 
 def _mass_cutoff(threshold: tuple[int, int], n: int) -> float:

@@ -165,7 +165,9 @@ def make_ctmc(
     ``states`` holds ``(id, labels, exit_rate)`` or
     ``(id, labels, exit_rate, reward)`` tuples; ``transitions`` holds
     ``(from_id, to_id, prob)`` with a number, not a str or bool, as prob;
-    repeated ones add up, omitted ones are zero.  Goal and fail states are not checked, everything else is.
+    repeated ones add up, omitted ones are zero.  Goal and fail states are
+    not checked, everything else is; an unknown state id raises ValueError
+    naming its field.
     :func:`load_model` builds its chains here too, through the same
     :class:`_ChainBuilder`.
     """
@@ -196,22 +198,39 @@ class _ChainBuilder:
 
     def add(self, transitions: Iterable[tuple[str, str, float]]) -> None:
         """One streamed pass into typed buffers: flat cell and probability.
-        The first bad entry stops it: an unknown id raises KeyError, and a
-        probability that is not a number, a bool among them, TypeError."""
+        The first bad entry stops it: an unknown id raises ValueError naming
+        the entry and its field, and a probability that is not a number, a
+        bool among them, TypeError.  A KeyError of ``transitions`` itself
+        passes through."""
         cells, probs, row, idx = self.cells, self.probs, self.row, self.idx
-        for frm, to, p in transitions:
-            cells.append(row[frm] + idx[to])
-            if p.__class__ is bool:
-                raise TypeError("a probability must be a number, not a bool")
-            probs.append(p)
+        frm = to = None
+        try:
+            for frm, to, p in transitions:
+                cells.append(row[frm] + idx[to])
+                if p.__class__ is bool:
+                    raise TypeError("a probability must be a number, not a bool")
+                probs.append(p)
+        except KeyError as err:
+            # the ids of the entry that failed, or of the one before it when
+            # the iterator raised; every entry before the bad one added a cell
+            for field, sid in (("from", frm), ("to", to)):
+                if err.args == (sid,) and sid not in idx:
+                    raise ValueError(f"transitions[{len(cells)}].{field}: unknown state id {sid!r}") from None
+            raise
 
     def chain(self, initial: str, goal: Sequence[str], fail: Sequence[str]) -> Ctmc:
+        """The chain of the entries added; an unknown ``initial``, ``goal``
+        or ``fail`` id raises ValueError naming its field."""
+        idx = self.idx
+        for where, names in (("initial", [initial]), ("goal", goal), ("fail", fail)):
+            for name in names:
+                if name not in idx:
+                    raise ValueError(f"{where}: unknown state id {name!r}")
         n = len(self.ids)
         # bincount adds repeated entries in input order onto 0.0, as ``+=``
         # on a zero matrix does; with no entries it counts in int64
         P = np.bincount(self.cells, self.probs, n * n).astype(float, copy=False).reshape(n, n)
         del self.cells, self.probs  # freed before the checks below allocate theirs
-        idx = self.idx
         M = Ctmc(
             ids=self.ids,
             labels=self.labels,
@@ -544,16 +563,10 @@ def _state_rows(d: dict) -> tuple[list[tuple], tuple[str | None, ...]]:
     return rows, exprs
 
 
-def _marks(d: dict, idx: dict) -> tuple[str, list[str], list[str]]:
-    """The document's initial state and goal and fail lists, type-checked;
-    a name that is no key of ``idx`` raises ValueError naming its field."""
+def _marks(d: dict) -> tuple[str, list[str], list[str]]:
+    """The document's initial state and goal and fail lists, type-checked."""
     initial = _expect(d.get("initial"), str, "initial")
-    goal, fail = _names(d.get("goal", []), "goal"), _names(d.get("fail", []), "fail")
-    for where, names in (("initial", [initial]), ("goal", goal), ("fail", fail)):
-        for name in names:
-            if name not in idx:
-                raise ValueError(f"{where}: unknown state id {name!r}")
-    return initial, goal, fail
+    return initial, _names(d.get("goal", []), "goal"), _names(d.get("fail", []), "fail")
 
 
 def _with_exprs(M: Ctmc, exprs: tuple[str | None, ...]) -> Ctmc:
@@ -570,16 +583,9 @@ def model_from_dict(d: dict) -> Ctmc:
     try:
         # streamed: a model file may hold far more transitions than states
         build.add(map(_ENTRY, transitions))
-    except KeyError:
-        k = len(build.cells)  # the bad entry: every one before it added a cell
-        tr = transitions[k]
-        if all(f in tr for f in ("from", "to", "prob")):
-            f = "from" if tr["from"] not in build.idx else "to"
-            raise ValueError(f"transitions[{k}].{f}: unknown state id {tr[f]!r}") from None
+    except (KeyError, TypeError, OverflowError):  # a missing field or a value of the wrong type
         raise ValueError(_BAD_ENTRY) from None
-    except (TypeError, OverflowError):
-        raise ValueError(_BAD_ENTRY) from None
-    return _with_exprs(build.chain(*_marks(d, build.idx)), exprs)
+    return _with_exprs(build.chain(*_marks(d)), exprs)
 
 
 def model_to_dict(M: Ctmc) -> dict:
@@ -806,7 +812,7 @@ def _load_streamed(fh) -> Ctmc:
         raise ValueError("trailing data")
     if build is None:
         return model_from_dict(doc)
-    return _with_exprs(build.chain(*_marks(doc, build.idx)), exprs)
+    return _with_exprs(build.chain(*_marks(doc)), exprs)
 
 
 def load_model(path: str) -> Ctmc:

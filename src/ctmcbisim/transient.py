@@ -374,12 +374,13 @@ def simulate_paths(
     With ``budget_weights`` w the clock advances by ``w[s] * sojourn``
     instead of the sojourn itself, which turns the same sampler into a
     reward-accumulation estimator (weights = per-state reward rates).
-    All paths are advanced in lockstep as vector operations.  Each next
-    state is drawn exactly from a guide table built once per call
-    (``_guide_table``, O(nnz) memory): expected O(1) work per path and
-    jump, and the same column as a scan of the dense cumulative row.  A
-    path stops on the jump that reaches the goal or an absorbing state,
-    and when its clock passes the horizon.  Raises
+    Each round advances only the running paths, in path order, as vector
+    operations, so its work is O(running paths).  Each next state is drawn
+    exactly from a guide table built once per call (``_guide_table``,
+    O(nnz) memory): expected O(1) work per path and jump, and the same
+    column as a scan of the dense cumulative row.  A path stops on the
+    jump that reaches the goal or an absorbing state, and when its clock
+    passes the horizon.  Raises
     :class:`JumpBudgetExceeded` when a path is still running after
     ``max_jumps`` jumps, and ValueError, before any random draw, for a bad
     ``n``, ``seed``, ``max_jumps``, ``horizon``, ``confidence`` or
@@ -406,31 +407,27 @@ def simulate_paths(
     stops = _absorbing_states(M.P)
     stops[g] = True
 
-    state = np.full(n, M.initial)
-    clock = np.zeros(n)
-    hit = np.full(n, M.initial == g)
-    active = np.full(n, not stops[M.initial])
-
+    # the running paths only, in path order, so every round draws as many
+    # numbers as there are running paths
+    s = np.full(0 if stops[M.initial] else n, M.initial)
+    clock = np.zeros(s.size)
+    hits = n if M.initial == g else 0
     jumps = 0
-    while active.any():
+    while s.size:
         jumps += 1
         if jumps > max_jumps:
             raise JumpBudgetExceeded(max_jumps)
-        idx = np.flatnonzero(active)
-        s = state[idx]
         with np.errstate(over="ignore"):  # a subnormal rate's sojourn is rightly inf
-            sojourn = rng.exponential(1.0, idx.size) / M.E[s]
-        clock[idx] += weights[s] * sojourn
-        expired = clock[idx] > horizon
-        active[idx[expired]] = False
-        idx = idx[~expired]
+            sojourn = rng.exponential(1.0, s.size) / M.E[s]
+        clock += sojourn if budget_weights is None else weights[s] * sojourn
+        keep = ~(clock > horizon)
+        s, clock = s[keep], clock[keep]
         # a zero-size draw leaves the generator as it was
-        nxt = _next_states(table, s[~expired], rng.random(idx.size))
-        state[idx] = nxt
-        hit[idx] = nxt == g
-        active[idx] = ~stops[nxt]
+        nxt = _next_states(table, s, rng.random(s.size))
+        hits += int(np.count_nonzero(nxt == g))
+        go = ~stops[nxt]
+        s, clock = nxt[go], clock[go]
 
-    hits = int(hit.sum())
     low, high = _wilson(hits, n, confidence)
     return SimulationResult(
         estimate=hits / n, ci_low=low, ci_high=high, hits=hits, paths=n, confidence=confidence

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmcbisim import PairRelation, epsilon_delta_bisim, fixtures, load_model, simulate_paths, validate
+from ctmcbisim import PairRelation, epsilon_delta_bisim, fixtures, load_model, make_ctmc, simulate_paths, validate
 from ctmcbisim.model import model_from_dict
 from ctmcbisim.cli import main
 from ctmcbisim.errors import NonFiniteValue
@@ -146,6 +146,26 @@ def test_model_from_dict_names_the_malformed_field(case):
     spoil, message = MALFORMED[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         model_from_dict(spoil(_document()))
+
+
+def _pieces(d):
+    """The ``make_ctmc`` arguments of a document."""
+    states = [(s["id"], s["labels"], s["exit_rate"]) for s in d["states"]]
+    transitions = [(tr["from"], tr["to"], tr["prob"]) for tr in d["transitions"]]
+    return states, transitions, d["initial"], d.get("goal", []), d.get("fail", [])
+
+
+@pytest.mark.parametrize("case", [
+    "transition from an unknown id",
+    "transition to an unknown id",
+    "initial is unknown",
+    "goal is unknown",
+    "fail is unknown",
+])
+def test_make_ctmc_names_the_field_of_an_unknown_id(case):
+    spoil, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_ctmc(*_pieces(spoil(_document())))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctmcbisim import bisim, graph
@@ -213,6 +213,23 @@ def test_the_class_mass_threshold_chains_still_reach_the_kernel(eps, eta):
 @pytest.mark.parametrize("eps, eta", [(0.0, 0.0), (0.1, FLOW_ETA), (0.25, 0.0), (0.05, FLOW_ETA), (0.999, 0.0)])
 @pytest.mark.parametrize("m", [2 * ENUM_DEGREE, 1, 301, 3001, 10**6])
 def test_cutoffs_are_the_threshold_and_the_derived_margin(eps, eta, m):
+    _assert_cutoffs(eps, eta, m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    eps=st.floats(0.0, 1.0),
+    eta=st.one_of(st.just(0.0), st.just(FLOW_ETA), st.floats(0.0, 1.0)),
+    m=st.integers(1, 10**6),
+)
+def test_cutoffs_on_drawn_thresholds(eps, eta, m):
+    assume(_threshold(eps, eta)[0] > 0)  # the cutoffs of a threshold at or below 0 are checked below
+    _assert_cutoffs(eps, eta, m)
+
+
+def _assert_cutoffs(eps, eta, m):
+    """The cutoffs of ``1 - eps - eta`` at gamma_m, against their exact
+    values in ``Fraction`` arithmetic."""
     u = Fraction(1, 1 << 53)
     thr, exp = _threshold(eps, eta)
     gamma = m * u / (1 - m * u)
