@@ -419,7 +419,7 @@ def simulate_paths(
             raise JumpBudgetExceeded(max_jumps)
         with np.errstate(over="ignore"):  # a subnormal rate's sojourn is rightly inf
             sojourn = rng.exponential(1.0, s.size) / M.E[s]
-        clock += sojourn if budget_weights is None else weights[s] * sojourn
+        clock += weights[s] * sojourn
         keep = ~(clock > horizon)
         s, clock = s[keep], clock[keep]
         # a zero-size draw leaves the generator as it was

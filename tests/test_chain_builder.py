@@ -13,8 +13,8 @@ the field (:func:`_assert_rescoped`): a string or boolean ``prob``, which
 the earlier builders read with ``float``, and an unknown state id, a
 transition entry without a field and an empty ``states`` list, on which
 they raised a bare ``KeyError`` or an unpacking ``ValueError``.
-``make_ctmc`` too names the field of an unknown state id in a ValueError
-where the earlier one raised a bare ``KeyError``.
+``make_ctmc`` too names the entry and field of an unknown state id in a
+ValueError where the earlier one raised a bare ``KeyError``.
 """
 
 from __future__ import annotations
@@ -367,9 +367,12 @@ def test_two_spoiled_fields_exit_with_the_same_code(doc):
 def test_make_ctmc_is_unchanged(args):
     new, old = _run(model.make_ctmc, *args), _run(make_ctmc, *args)
     if isinstance(old, KeyError):
-        # the library names the field of the unknown state id instead
-        (key,) = old.args
-        assert type(new) is ValueError and str(new).endswith(f": unknown state id {key!r}"), (new, old)
+        # the library names the entry and field of the unknown state id
+        # instead; pieces() appends that entry last, with "nowhere" as from
+        transitions = args[1]
+        expected = f"transitions[{len(transitions) - 1}].from: unknown state id 'nowhere'"
+        assert old.args == ("nowhere",), old
+        assert type(new) is ValueError and str(new) == expected, (new, old)
     else:
         _assert_same(new, old)
 

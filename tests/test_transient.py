@@ -339,13 +339,11 @@ def test_simulate_coverage_statistics():
 
 
 def test_simulate_budget_weights_mean_spend():
-    # with weights = 1 on every state the budget clock is the time clock:
-    # no weights skip the product w[s] * sojourn, which is exact at w = 1
-    for M in (fixtures.rewarded_tandem(), fixtures.overflow_queue(0.5),
-              random_uniform_chain(np.random.default_rng(3), n=40)):
-        a = simulate_paths(M, 20_000, 3.0, seed=5)
-        b = simulate_paths(M, 20_000, 3.0, seed=5, budget_weights=np.ones(M.n))
-        assert a == b
+    # with weights = 1 on every state the budget clock is the time clock
+    M = fixtures.rewarded_tandem()
+    a = simulate_paths(M, 20_000, 3.0, seed=5)
+    b = simulate_paths(M, 20_000, 3.0, seed=5, budget_weights=np.ones(M.n))
+    assert a == b
 
 
 def test_simulate_memory_does_not_grow_with_paths_times_states():
