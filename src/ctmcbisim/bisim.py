@@ -150,11 +150,6 @@ class PairRelation:
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(_index_pairs(self.matrix))
 
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """``adjacency[s]`` is the set of states related to ``s``."""
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.matrix)
-
     def off_diagonal(self) -> list[tuple[int, int]]:
         return list(_index_pairs(np.triu(self.matrix, 1)))
 
@@ -190,17 +185,12 @@ class Partition:
             raise ValueError("blocks are not disjoint")
         if not label or set(label) != set(range(len(label))):
             raise ValueError("blocks do not cover a 0..n-1 state range")
-        # the state -> block index read by n, block_of and check_quasi_lumpability
+        # the state -> block index read by n, as_relation and check_quasi_lumpability
         object.__setattr__(self, "_label", np.array([label[s] for s in range(len(label))]))
 
     @property
     def n(self) -> int:
         return len(self._label)
-
-    def block_of(self, s: int) -> int:
-        if s not in range(self.n):
-            raise KeyError(s)
-        return int(self._label[int(s)])
 
     def as_relation(self, eps: float = 0.0, delta: float = 0.0) -> PairRelation:
         return PairRelation._of(self._label[:, None] == self._label, eps, delta)
@@ -360,12 +350,6 @@ def _max_flow(
 
 def _related_mass(f: _Flow) -> float:
     return f.value / (1 << f.exp)
-
-
-def pair_flow_value(D: Ctmc, R: PairRelation, s: int, t: int) -> float:
-    """The maximum mass placeable on related successor pairs (exactly
-    ``1 - (smallest feasible eps)`` by LP duality)."""
-    return _related_mass(_max_flow(_row(D, s), _row(D, t), R.matrix, (0, 0)))
 
 
 # --------------------------------------------------------------------------

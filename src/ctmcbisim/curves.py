@@ -47,19 +47,6 @@ class BoundCurve:
             d[name] = [None if v != v else float(v) for v in col]
         return d
 
-    @classmethod
-    def from_csv(cls, text: str) -> "BoundCurve":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        names = lines[0].split(",")
-        if names[0] != "t":
-            raise ValueError("first CSV column must be 't'")
-        rows = [ln.split(",") for ln in lines[1:]]
-        times = np.array([float(r[0]) for r in rows])
-        curve = cls(times=times)
-        for j, name in enumerate(names[1:], start=1):
-            curve.add(name, [float(r[j]) if r[j] != "" else float("nan") for r in rows])
-        return curve
-
 
 def time_grid(tmax: float, steps: int) -> np.ndarray:
     """Evenly spaced grid 0..tmax inclusive with ``steps`` intervals."""

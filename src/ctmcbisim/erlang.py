@@ -133,6 +133,8 @@ def rate_factor(delta: float) -> float:
 
 def _gap_index(n: int, t: float) -> int:
     """``n``, once ``n`` and ``t`` are valid arguments of :func:`erlang_diff`."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= t < math.inf:
@@ -230,7 +232,7 @@ def pareto_region(theta: float, q: float, t: float) -> ParetoRegion:
 def erlang_N(t: float, delta: float) -> int:
     if delta <= 0.0:
         raise NotApplicable("the Erlang-N bound needs delta > 0")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     length = (rate_factor(delta) - 1.0) * t / delta
     if not length <= MAX_TERMS:

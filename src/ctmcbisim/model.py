@@ -132,7 +132,12 @@ class Ctmc:
         if seen.isdisjoint(self.goal):
             seen.update(self.goal)
         form = normalize_goal(self if len(seen) == self.n else restrict(self, sorted(seen)))
-        return None if form is self else form
+        if form is self:
+            return None
+        # the form's goal is absorbing: drop the states only a goal state
+        # led to, and merge again so that the fresh names fit what is left
+        seen = graph.reach(form.succ, [form.initial]) | set(form.goal)
+        return form if len(seen) == form.n else normalize_goal(restrict(form, sorted(seen)))
 
     def goal_state(self) -> int:
         if len(self.goal) != 1:
@@ -250,8 +255,8 @@ class _ChainBuilder:
 # --------------------------------------------------------------------------
 
 
-def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
-    """Check the chain invariants and return the (possibly renormalized) chain.
+def validate(model: Ctmc) -> Ctmc:
+    """Check the chain invariants and return the chain.
 
     Raises the first violation found, with all further violations listed
     in ``err.all_violations``.  Row sums must be 1 within 1e-12, rates
@@ -260,12 +265,6 @@ def validate(model: Ctmc, renormalize: bool = False) -> Ctmc:
     absorbing by :func:`_absorbing_states` and carry a label set no other
     state has.
     """
-    if renormalize:
-        sums = model.P.sum(axis=1)
-        if np.any(sums <= 0):
-            raise RowSumError(int(np.argmax(sums <= 0)), float(sums.min()))
-        model = replace(model, P=model.P / sums[:, None])
-
     violations: list[CtmcError] = []
     for name in ("P", "E", "rewards"):
         a = getattr(model, name)
@@ -363,7 +362,7 @@ def _fresh_id(base: str, used: set[str]) -> str:
     return name
 
 
-def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
+def normalize_goal(M: Ctmc) -> Ctmc:
     """Merge the goal set into one absorbing, uniquely labeled state and all
     states that cannot reach it into one absorbing fail state.
 
@@ -373,7 +372,7 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
     reachability of the goal set is preserved.  A chain that is already
     in this form is returned unchanged.
     """
-    G = {M.index(g) for g in (goals if goals is not None else M.goal)}
+    G = {M.index(g) for g in M.goal}
     if not G:
         raise EmptyGoalSet("goal set is empty")
     if M.initial in G:
@@ -432,7 +431,7 @@ def normalize_goal(M: Ctmc, goals: Iterable[int | str] | None = None) -> Ctmc:
     )
 
 
-def uniformize(M: Ctmc, q: float | None = None) -> Ctmc:
+def uniformize(M: Ctmc, q: float) -> Ctmc:
     """The same process observed at rate ``q >= max exit rate``.
 
     Every exit rate becomes ``q``; off-diagonal jump probabilities become
@@ -440,9 +439,7 @@ def uniformize(M: Ctmc, q: float | None = None) -> Ctmc:
     ``1 + P(s,s)*E(s)/q - E(s)/q``.  Rewards are kept.
     """
     max_rate = M.max_rate()
-    if q is None:
-        q = max_rate
-    elif not math.isfinite(q):
+    if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
     if q < max_rate * (1.0 - 1e-12):
         raise RateTooSmall(q, max_rate)
@@ -487,11 +484,13 @@ def prune_unreachable(M: Ctmc) -> Ctmc:
 
 def _normal_form(M: Ctmc) -> Ctmc:
     """The chain every goal analysis reads: :func:`normalize_goal` of the
-    states reachable from the initial one.  When no goal state is among
-    them the goal states are kept too, so that a goal that cannot be
-    reached gives the two-state form (initial state ``fail``) and not an
-    empty goal set.  Like the graph indexes it is built once per chain and
-    kept on it, so the analyses of one chain share it."""
+    states reachable from the initial one, taken once more when a state
+    that only a goal state led to fell out, so that the form is its own
+    normal form.  When no goal state is reachable the goal states are kept
+    too, so that a goal that cannot be reached gives the two-state form
+    (initial state ``fail``) and not an empty goal set.  Like the graph
+    indexes it is built once per chain and kept on it, so the analyses of
+    one chain share it."""
     form = M._goal_form
     return M if form is None else form
 
@@ -530,12 +529,12 @@ def _parse_rate(value, where: str) -> tuple[float, str | None]:
     if not isinstance(value, str):
         return _number(value, where), None
     m = _EXP_RE.match(value)
-    if not m:
-        raise ValueError(f"bad exit_rate expression {value!r}; only 'exp(x)' is supported")
     try:
-        return math.exp(float(m.group(1))), value
+        return math.exp(float(m.group(1) if m else "")), value
     except OverflowError:
         raise ValueError(f"{where} {value!r} overflows a float") from None
+    except ValueError:  # no 'exp(...)', or no float inside it
+        raise ValueError(f"{where}: bad exit_rate expression {value!r}; only 'exp(x)' is supported") from None
 
 
 #: the ``make_ctmc`` transition of a model file's transition entry

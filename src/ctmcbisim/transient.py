@@ -194,11 +194,6 @@ class HitStepDistribution:
     def tail_mass(self) -> float:
         return max(0.0, self.reach - float(self.probs.sum()))
 
-    def p(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("steps are 1-based")
-        return float(self.probs[n - 1]) if n <= len(self.probs) else 0.0
-
 
 def hit_exact_steps(M: Ctmc, K: int, tol: float | None = None) -> HitStepDistribution:
     """p_n = (P^n - P^{n-1})[init, g] for n = 1..K on the chain as given (g absorbing).
@@ -210,6 +205,8 @@ def hit_exact_steps(M: Ctmc, K: int, tol: float | None = None) -> HitStepDistrib
     solved once, after the first length, so every L gives the bits of a
     call with K = L, in at most K vector-matrix products.
     """
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K!r}")
     if tol is not None:
         _check_tol(tol)
     g = M.goal_state()

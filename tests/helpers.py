@@ -9,6 +9,7 @@ coincidences (equal rows, hence nontrivial bisimulations) common.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -16,6 +17,17 @@ import numpy as np
 from ctmcbisim import Ctmc, direct_sum, epsilon_delta_bisim, validate
 from ctmcbisim.errors import CtmcError
 from ctmcbisim.spectral import decompose
+
+
+def adjacency(R) -> tuple[frozenset[int], ...]:
+    """``adjacency(R)[s]`` is the set of states that ``R`` relates to ``s``."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in R.matrix)
+
+
+def read_curve(text: str) -> np.ndarray:
+    """The CSV of ``BoundCurve.to_csv`` as a structured array with one
+    field per column (``t`` first); an empty cell reads as NaN."""
+    return np.genfromtxt(io.StringIO(text), delimiter=",", names=True, ndmin=1)
 
 
 def _weights_to_row(w: np.ndarray) -> np.ndarray:

@@ -12,10 +12,24 @@ import re
 import numpy as np
 import pytest
 
-from ctmcbisim import cli, erlang_diff, erlang_diff_prefix, fixtures, save_model, scale, time_grid, uniformize
+from ctmcbisim import (
+    cli,
+    erlang_diff,
+    erlang_diff_prefix,
+    erlang_N,
+    erlang_N_bound,
+    fixtures,
+    hit_exact_steps,
+    save_model,
+    scale,
+    time_grid,
+    uniformize,
+)
 from ctmcbisim.cli import main
 from ctmcbisim.curves import BoundCurve
 from ctmcbisim.errors import NonpositiveScale
+
+from helpers import read_curve
 
 
 @pytest.fixture
@@ -71,9 +85,9 @@ def test_a_curve_with_no_column_round_trips_through_csv():
     grid = time_grid(2.0, 4)
     text = BoundCurve(times=grid).to_csv()
     assert text.splitlines()[0] == "t"
-    back = BoundCurve.from_csv(text)
-    assert back.times.tobytes() == grid.tobytes()
-    assert back.columns == {}
+    back = read_curve(text)
+    assert back.dtype.names == ("t",)
+    assert back["t"].tobytes() == grid.tobytes()
 
 
 # ------------------------------------------------------------ non-finite arguments
@@ -95,6 +109,22 @@ def test_entry_points_reject_non_finite_arguments(call, value):
     fn, error, message = _CALLS[call]
     with pytest.raises(error, match="^" + re.escape(message)):
         fn(value)
+
+
+_HOLES = {
+    "erlang_N nan t": (lambda: erlang_N(math.nan, 0.1), "t must be nonnegative, got nan"),
+    "erlang_N_bound nan t": (lambda: erlang_N_bound(math.nan, 0.1), "t must be nonnegative, got nan"),
+    "hit_exact_steps K -1": (lambda: hit_exact_steps(fixtures.branch_merge_chain(), -1), "K must be >= 0, got -1"),
+    "hit_exact_steps K -5": (lambda: hit_exact_steps(fixtures.branch_merge_chain(), -5), "K must be >= 0, got -5"),
+    "erlang_diff n 2.5": (lambda: erlang_diff(2.5, 1.1, 1.0), "n must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_HOLES))
+def test_argument_holes_raise_a_value_error_that_names_the_argument(call):
+    fn, message = _HOLES[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn()
 
 
 @pytest.mark.parametrize("value", [math.nan, -math.inf, -1.0], ids=["nan", "-inf", "negative"])

@@ -2,9 +2,9 @@
 
 The command reads the normal form ``Mn`` of the loaded chain for the
 ``unif`` and ``erlangN`` columns, and the exact, Markov, spectral and
-combined curves each read the normal form of ``Mn``.  The two differ on
-chains whose normal form is not its own (see ``test_normal_form``), so
-both are built, but each only once: a chain keeps its normal form.
+combined curves each read the normal form of ``Mn``, which is ``Mn``
+again (see ``test_normal_form``).  Both are built, but each only once: a
+chain keeps its normal form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ctmcbisim.model import _normal_form
 from ctmcbisim.spectral import combined_bound, spectral_curve
 
 from test_grid_sharing import _count_calls
-from test_normal_form import _goal_analysis_chain, _goal_on_the_way
+from test_normal_form import _goal_analysis_chain, _goal_on_the_way, _is_fixed_point
 from test_spectral_prologue import _two_rate_loop
 
 ALL = "exact,unif,erlangN,markov,spectral,combined"
@@ -121,13 +121,15 @@ def _goal_on_the_way_with_rate(r: float):
     ids=["gate-seed-1", "goal-on-the-way-rate-2"],
 )
 def test_the_curves_read_the_normal_form_of_the_normal_form(chain, tmp_path, capsys, monkeypatch):
-    # on these chains the normal form is not its own, so a curve of Mn
-    # taken as already normal would differ: the spectral column at t = 3 of
-    # the first, and the uniform rate of the second, whose Mn keeps s2
+    # the normal form of these chains drops states that only a goal state
+    # led to (s2 of the second); it is its own normal form, which the curves
+    # read: a form that kept them had a looser spectral column at t = 3 on
+    # the first, and the uniform rate of s2 on the second
     M = chain()
     Mn = _normal_form(M)
-    assert _normal_form(Mn).n < Mn.n
+    assert _is_fixed_point(Mn)
     csv, notes = _expected(M)
     rc, out, err, builds = _bounds(M, ALL, tmp_path, capsys, monkeypatch)
     assert (rc, out, err) == (0, csv, notes)
-    assert builds == _forms(M) == 2
+    # Mn takes two merges, the second after the drop; Mn's own form one
+    assert _forms(M) == 2 and builds == 3

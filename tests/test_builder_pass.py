@@ -33,7 +33,7 @@ def _old_matrix(ids, transitions) -> np.ndarray:
 
 
 def _built(ids, transitions, monkeypatch) -> np.ndarray:
-    monkeypatch.setattr(model, "validate", lambda M, renormalize=False: M)
+    monkeypatch.setattr(model, "validate", lambda M: M)
     states = [(sid, (), 1.0) for sid in ids]
     return model.make_ctmc(states, transitions, ids[0]).P
 

@@ -17,7 +17,8 @@ from ctmcbisim import (
 )
 from ctmcbisim.bisim import relation_to_dict
 from ctmcbisim.cli import main
-from ctmcbisim.curves import BoundCurve
+
+from helpers import read_curve
 
 
 # ------------------------------------------------------------ model files
@@ -132,7 +133,7 @@ def test_bounds_markov_column_goes_blank_with_a_note(capsys, tmp_path):
     )
     assert rc == 0
     assert "note: column 'markov' not applicable" in err
-    curve = BoundCurve.from_csv(out)
+    curve = read_curve(out)
     assert all(math.isnan(v) for v in curve["markov"])
     assert all(not math.isnan(v) for v in curve["exact"])
 
@@ -160,8 +161,8 @@ def test_bounds_out_file_round_trips(capsys, tmp_path, branch_path):
     )
     assert rc == 0
     assert out == ""  # everything went to the file
-    curve = BoundCurve.from_csv(dest.read_text())
-    assert list(curve.times) == pytest.approx([0.5 * k for k in range(7)])
+    curve = read_curve(dest.read_text())
+    assert list(curve["t"]) == pytest.approx([0.5 * k for k in range(7)])
 
 
 def test_bounds_spectral_column_on_acyclic_chain(capsys, tmp_path):
@@ -176,7 +177,7 @@ def test_bounds_spectral_column_on_acyclic_chain(capsys, tmp_path):
     )
     assert rc == 0
     assert err == ""
-    curve = BoundCurve.from_csv(out)
+    curve = read_curve(out)
     for e, s in zip(curve["exact"], curve["spectral"]):
         assert e <= s + 1e-9
 

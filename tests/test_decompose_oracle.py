@@ -37,7 +37,7 @@ from ctmcbisim.spectral import (
     decompose,
 )
 
-from helpers import random_dag_chain, random_uniform_chain
+from helpers import adjacency, random_dag_chain, random_uniform_chain
 
 # ---------------------------------------------------------------- oracles
 
@@ -265,7 +265,7 @@ def _decompose_oracle(P: np.ndarray | Ctmc, tol: float = 1e-9) -> SpectralData:
 
 
 def _transitive_closure_oracle(self) -> "PairRelation":
-    related = [set(r) for r in self.adjacency]
+    related = [set(r) for r in adjacency(self)]
     changed = True
     while changed:
         changed = False
@@ -286,7 +286,7 @@ def _classes_oracle(self) -> "Partition":
     for s in range(self.n):
         if s in seen:
             continue
-        cls_ = self.adjacency[s]
+        cls_ = adjacency(self)[s]
         seen |= cls_
         blocks.append(cls_)
     return Partition(blocks=tuple(blocks))

@@ -128,6 +128,16 @@ MALFORMED = {
     "transition entry is a list": (_set("transitions", [["s0", "g", 1.0]]), "transitions: each entry"),
     "exit rate overflows": (_set("exit_rate", "exp(1000)", state=1), "states[1].exit_rate 'exp(1000)'"),
     "exit rate is true": (_set("exit_rate", True, state=0), "states[0].exit_rate must be int or float, got True"),
+    "exit rate is no expression": (
+        _set("exit_rate", "exp(nope)", state=0), "states[0].exit_rate: bad exit_rate expression 'exp(nope)'"
+    ),
+    "exit rate has two exponents": (
+        _set("exit_rate", "exp(1e5e5)", state=1), "states[1].exit_rate: bad exit_rate expression 'exp(1e5e5)'"
+    ),
+    "exit rate is exp of a dot": (
+        _set("exit_rate", "exp(.)", state=2), "states[2].exit_rate: bad exit_rate expression 'exp(.)'"
+    ),
+    "reward overflows": (_set("reward", 10**400, state=0), "states[0].reward overflows a float"),
     "reward is false": (_set("reward", False, state=1), "states[1].reward must be int or float, got False"),
     "states is empty": (_set("states", []), "states must hold at least one state"),
     "transition from an unknown id": (_set("from", "zz", transition=0), "transitions[0].from: unknown state id 'zz'"),
@@ -146,6 +156,13 @@ def test_model_from_dict_names_the_malformed_field(case):
     spoil, message = MALFORMED[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         model_from_dict(spoil(_document()))
+
+
+@pytest.mark.parametrize("case", ["exit rate is no expression", "exit rate has two exponents", "exit rate is exp of a dot"])
+def test_load_model_names_the_field_of_a_bad_rate_expression(tmp_path, case):
+    spoil, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}; only 'exp\\(x\\)' is supported$"):
+        load_model(_write(tmp_path / "m.json", spoil(_document())))
 
 
 def _pieces(d):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,16 +102,6 @@ def test_make_ctmc_leaves_the_goal_to_normalize_goal():
         validate(M)
 
 
-def test_validate_renormalize():
-    M = two_plus_sink()
-    P = M.P * 2.0
-    fixed = validate(
-        Ctmc(ids=M.ids, labels=M.labels, P=P, E=M.E, initial=0, goal=M.goal),
-        renormalize=True,
-    )
-    assert np.allclose(fixed.P.sum(axis=1), 1.0)
-
-
 # ---------------------------------------------------------------- direct sum
 
 
@@ -180,7 +171,7 @@ def test_normalize_goal_initial_in_goals_rejected():
 def test_normalize_goal_empty():
     M = two_plus_sink()
     with pytest.raises(EmptyGoalSet):
-        normalize_goal(M, goals=())
+        normalize_goal(replace(M, goal=()))
 
 
 def test_goal_state_requires_singleton():

@@ -3,9 +3,11 @@
 ``model._normal_form`` is the chain that ``bounds``, ``pn``, ``simulate``,
 ``spectral-report``, the spectral bounds and the ordering check of pair
 uniformization read.  Whenever the initial state can reach a goal state it
-must be exactly ``normalize_goal(prune_unreachable(M))``, the form those
-analyses built before; when none can be reached it is the two-state form
-(initial state ``fail``, absorbing goal) instead of an empty goal set.
+must be exactly two passes of ``normalize_goal(prune_unreachable(.))``:
+the second drops the states that only a goal state led to, and names the
+merged states afresh, so that the form is its own normal form.  When no
+goal state can be reached it is the two-state form (initial state
+``fail``, absorbing goal) instead of an empty goal set.
 Only ``model.py`` may build it: no other module names ``normalize_goal``
 or ``prune_unreachable``.
 """
@@ -126,6 +128,12 @@ def _assert_same(new, old):
         assert getattr(new, name) == getattr(old, name), name
 
 
+def _two_passes(M: Ctmc) -> Ctmc:
+    for _ in range(2):
+        M = normalize_goal(prune_unreachable(M))
+    return M
+
+
 def _goal_unreachable(M: Ctmc) -> bool:
     return bool(M.goal) and graph.reach(M.succ, [M.initial]).isdisjoint(M.goal)
 
@@ -139,7 +147,7 @@ def test_normal_form_is_prune_then_normalize(family, seed):
     M = FAMILIES[family](np.random.default_rng(seed))
     new = _run(_normal_form, M)
     if not _goal_unreachable(M):
-        _assert_same(new, _run(lambda X: normalize_goal(prune_unreachable(X)), M))
+        _assert_same(new, _run(_two_passes, M))
         return
     # no goal state can be reached: everything reachable is one fail state
     assert isinstance(new, Ctmc)
@@ -379,7 +387,8 @@ def test_goal_analyses_read_the_normal_form(seed):
     for name, analysis in _ANALYSES.items():
         if isinstance(form, Exception):  # each analysis meets it first
             assert _outcome(analysis, M) == (type(form), str(form)), name
-        elif _is_fixed_point(form):  # see the xfail test below for the others
+        else:
+            assert _is_fixed_point(form)
             assert _outcome(analysis, M) == _outcome(analysis, form), name
 
 
@@ -388,7 +397,7 @@ def test_the_gate_meets_every_kind_of_chain():
     for seed in range(200):
         M = _goal_analysis_chain(np.random.default_rng(seed))
         form = _run(_normal_form, M)
-        if isinstance(form, Exception) or not _is_fixed_point(form):
+        if isinstance(form, Exception):
             continue
         if len(M.goal) > 1:
             seen.add("several goals")
@@ -415,7 +424,6 @@ def _goal_on_the_way():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="the normal form keeps states that only a goal state leads to")
 def test_the_normal_form_is_its_own_normal_form():
     form = _normal_form(_goal_on_the_way())
     assert form.ids == ("s0", "goal")

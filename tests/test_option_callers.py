@@ -102,7 +102,7 @@ def test_the_gate_sees_the_package():
     package = _package_sources()
     assert {"spectral", "erlang", "cli", "model", "fixtures"} <= set(package)
     options = {(name, param) for text in package.values() for name, _, _, param in _options(ast.parse(text))}
-    assert {("simulate_paths", "max_jumps"), ("normalize_goal", "goals"), ("_at_least", "strict")} <= options
+    assert {("simulate_paths", "max_jumps"), ("hit_exact_steps", "tol"), ("_at_least", "strict")} <= options
     assert len(_caller_sources()) > len(package)
 
 

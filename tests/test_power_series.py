@@ -272,11 +272,12 @@ def test_empty_grid_needs_no_goal():
 
 
 def test_negative_step_counts():
-    # the oracle hit_exact_steps raised for K = -1, which now gives no steps
+    # a negative K is rejected by name; K = 0 gives no steps
     M = random_uniform_chain(np.random.default_rng(5))
-    with pytest.raises(ValueError):
-        transient.hit_exact_steps(M, -2)
-    assert transient.hit_exact_steps(M, -1).probs.shape == (0,)
+    for K in (-1, -2):
+        with pytest.raises(ValueError, match=f"^K must be >= 0, got {K}$"):
+            transient.hit_exact_steps(M, K)
+    assert transient.hit_exact_steps(M, 0).probs.shape == (0,)
 
 
 # ---------------------------------------------------------------- count gate

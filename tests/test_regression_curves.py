@@ -8,7 +8,8 @@ import pytest
 
 from ctmcbisim import fixtures, save_model
 from ctmcbisim.cli import main
-from ctmcbisim.curves import BoundCurve
+
+from helpers import read_curve
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -21,9 +22,8 @@ SCENARIOS = {
 
 
 def _columns(name):
-    curve = BoundCurve.from_csv((DATA / name).read_text())
-    return (np.asarray(curve.times), np.asarray(curve["exact"]),
-            np.asarray(curve["erlangN"]), np.asarray(curve["spectral"]))
+    curve = read_curve((DATA / name).read_text())
+    return curve["t"], curve["exact"], curve["erlangN"], curve["spectral"]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -148,7 +148,7 @@ def test_decompose_size_gate():
 def _check_pn(sd, M, fn, n_max=30, tol=1e-7):
     hs = hit_exact_steps(M, n_max)
     for k in range(1, n_max + 1):
-        assert fn(sd, k) == pytest.approx(hs.p(k), abs=tol), k
+        assert fn(sd, k) == pytest.approx(hs.probs[k - 1], abs=tol), k
 
 
 def test_pn_diag_matches_exact_steps():

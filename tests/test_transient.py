@@ -145,24 +145,24 @@ def test_transient_query_validation():
 
 def test_hit_exact_steps_branch_values():
     d = hit_exact_steps(fixtures.branch_merge_chain(), 5)
-    assert d.p(1) == 0.0
-    assert d.p(2) == pytest.approx(0.375, abs=1e-15)
-    assert d.p(3) == pytest.approx(0.28125, abs=1e-15)
-    assert d.p(4) == pytest.approx(0.1640625, abs=1e-15)
-    assert d.p(5) == pytest.approx(0.087890625, abs=1e-15)
+    assert d.probs[0] == 0.0
+    assert d.probs[1] == pytest.approx(0.375, abs=1e-15)
+    assert d.probs[2] == pytest.approx(0.28125, abs=1e-15)
+    assert d.probs[3] == pytest.approx(0.1640625, abs=1e-15)
+    assert d.probs[4] == pytest.approx(0.087890625, abs=1e-15)
     assert d.reach == pytest.approx(1.0, abs=1e-12)
-    assert d.p(100) == 0.0  # beyond the computed horizon
+    assert len(d.probs) == 5
 
 
 def test_hit_exact_steps_point_mass_and_geometric():
     d = hit_exact_steps(fixtures.erlang_chain(4), 8)
-    assert d.p(4) == 1.0
-    assert sum(d.p(n) for n in range(1, 9) if n != 4) == 0.0
+    assert d.probs[3] == 1.0
+    assert np.flatnonzero(d.probs).tolist() == [3] and len(d.probs) == 8
 
     p = 0.6
     d = hit_exact_steps(fixtures.two_state_loop(p), 12)
     for n in range(1, 13):
-        assert d.p(n) == pytest.approx((1 - p) * p ** (n - 1), abs=1e-15)
+        assert d.probs[n - 1] == pytest.approx((1 - p) * p ** (n - 1), abs=1e-15)
 
 
 def _enumerate_first_hits(M, K):
@@ -223,7 +223,7 @@ def test_expected_hit_steps():
     # cross-check by the truncated series sum n*p_n
     M = fixtures.branch_merge_chain()
     d = hit_exact_steps(M, 200)
-    series = sum(n * d.p(n) for n in range(1, 201))
+    series = sum(n * d.probs[n - 1] for n in range(1, 201))
     assert expected_hit_steps(M) == pytest.approx(series, abs=1e-9)
 
 

@@ -39,6 +39,7 @@ from ctmcbisim.bisim import (
 from ctmcbisim.model import Ctmc
 
 from helpers import (
+    adjacency,
     random_bisimilar_pair,
     random_dag_chain,
     random_labeled_chain,
@@ -65,7 +66,7 @@ def compose(R1: PairRelation, R2: PairRelation) -> PairRelation:
     reflexive-symmetric), the witness behind additivity of (eps, delta)."""
     if R1.n != R2.n:
         raise ValueError("relations live on different state counts")
-    adj1, adj2 = R1.adjacency, R2.adjacency
+    adj1, adj2 = adjacency(R1), adjacency(R2)
     pairs = {(s, u) for s in range(R1.n) for u in set().union(*(adj2[t] for t in adj1[s]))}
     return PairRelation(
         n=R1.n,
